@@ -224,14 +224,17 @@ func (c *Cluster) PutReader(id BlockID, r io.Reader) (int64, error) {
 	return c.inner.Client.PutReader(context.Background(), id, r)
 }
 
-// Get retrieves one block.
+// Get retrieves one block. Do not modify the returned slice: with the
+// cache enabled it is shared with the cache and with other readers of
+// the block. The same holds for GetRange and GetMulti.
 func (c *Cluster) Get(id BlockID) ([]byte, error) {
 	return c.inner.Client.Get(id)
 }
 
 // GetRange reads n bytes at byte offset off without assembling the
 // whole block: only the stripes the range touches are fetched and
-// decoded (DESIGN.md §13).
+// decoded (DESIGN.md §13). Do not modify the returned slice; when the
+// block is cached it is a window into the cache's copy.
 //
 //lint:ignore ctxfirst context-free public facade; core.Client.GetRange offers the ctx-aware entry
 func (c *Cluster) GetRange(id BlockID, off, n int64) ([]byte, error) {
@@ -239,7 +242,8 @@ func (c *Cluster) GetRange(id BlockID, off, n int64) ([]byte, error) {
 }
 
 // GetMulti retrieves several blocks in one planned request and reports
-// the response-time breakdown.
+// the response-time breakdown. Do not modify the returned slices (see
+// Get).
 func (c *Cluster) GetMulti(ids []BlockID) (map[BlockID][]byte, Breakdown, error) {
 	return c.inner.Client.GetMulti(ids)
 }

@@ -24,6 +24,13 @@
 //     retained (marked stale) for the TTL instead of dropped, and
 //     GetStale can serve it as a last resort when enough sites are down
 //     that the block cannot be reconstructed at all.
+//   - Stored and served by reference: Put takes ownership of the decoded
+//     slice and Get hands out that same slice, so a cached block is an
+//     immutable value shared by the cache and every reader it was ever
+//     returned to. Nobody may modify it and it never enters a buffer
+//     pool. A hit therefore costs pointer work under the shard mutex, and
+//     eviction just drops the cache's reference — readers still holding
+//     the block keep it alive.
 //
 // The package is covered by the determinism lint rule: time comes from
 // an injected clock and all hashing/admission randomness derives from
@@ -270,9 +277,10 @@ func (c *Cache) score(id model.BlockID, h uint64) int {
 }
 
 // Get returns the cached decoded bytes for (id, version). The returned
-// slice is a private copy. A resident entry with a different version is
-// invalidated (dropped, or marked stale when StaleTTL > 0) and reported
-// as a miss.
+// slice is the resident block itself, shared with the cache and every
+// other reader: it must not be modified. A resident entry with a
+// different version is invalidated (dropped, or marked stale when
+// StaleTTL > 0) and reported as a miss.
 func (c *Cache) Get(id model.BlockID, version uint64) ([]byte, bool) {
 	if c == nil {
 		return nil, false
@@ -284,8 +292,7 @@ func (c *Cache) Get(id model.BlockID, version uint64) ([]byte, bool) {
 	e, ok := sh.byID[id]
 	if ok && e.version == version && !e.stale {
 		sh.moveFront(e)
-		out := make([]byte, len(e.data))
-		copy(out, e.data)
+		out := e.data
 		sh.mu.Unlock()
 		c.hits.Add(1)
 		c.obs.hits.Inc()
@@ -331,7 +338,8 @@ func (c *Cache) Get(id model.BlockID, version uint64) ([]byte, bool) {
 // match, provided any stale entry is still within StaleTTL. It is the
 // stale-if-error path: callers use it only after establishing that the
 // block cannot currently be reconstructed from its sites. The returned
-// version is the placement version the bytes were decoded under.
+// version is the placement version the bytes were decoded under; the
+// bytes are shared and read-only, as for Get.
 func (c *Cache) GetStale(id model.BlockID) (data []byte, version uint64, ok bool) {
 	if c == nil || c.cfg.StaleTTL <= 0 {
 		return nil, 0, false
@@ -345,30 +353,28 @@ func (c *Cache) GetStale(id model.BlockID) (data []byte, version uint64, ok bool
 		sh.mu.Unlock()
 		return nil, 0, false
 	}
-	out := make([]byte, len(e.data))
-	copy(out, e.data)
-	ver := e.version
+	out, ver := e.data, e.version
 	sh.mu.Unlock()
 	c.staleServes.Add(1)
 	c.obs.staleServes.Inc()
 	return out, ver, true
 }
 
-// Put offers the decoded bytes of (id, version) for admission. The
-// cache keeps its own copy. It returns whether the block is resident
-// afterwards (admission may refuse it in favour of hotter residents).
+// Put offers the decoded bytes of (id, version) for admission and takes
+// ownership of data: from here on the slice is immutable, whether or
+// not it was admitted, because the caller typically also returns it to
+// its own caller. It returns whether the block is resident afterwards
+// (admission may refuse it in favour of hotter residents).
 func (c *Cache) Put(id model.BlockID, version uint64, data []byte) bool {
 	if c == nil {
 		return false
 	}
-	own := make([]byte, len(data))
-	copy(own, data)
-	return c.putOwned(id, version, own, int64(len(own)))
+	return c.putOwned(id, version, data, int64(len(data)))
 }
 
-// PutSized admits an entry with an explicit size and no payload copy.
-// The simulator uses it to model the cache byte budget (data may be
-// nil) without materialising block contents.
+// PutSized admits an entry with an explicit size. The simulator uses it
+// to model the cache byte budget (data may be nil) without
+// materialising block contents.
 func (c *Cache) PutSized(id model.BlockID, version uint64, data []byte, size int64) bool {
 	if c == nil {
 		return false

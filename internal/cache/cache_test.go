@@ -3,6 +3,7 @@ package cache
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -44,8 +45,12 @@ func newTestCache(t *testing.T, cfg Config) *Cache {
 	return c
 }
 
-func TestHitMissAndCopySemantics(t *testing.T) {
-	c := newTestCache(t, Config{MaxBytes: 1 << 20, Shards: 1, Seed: 1})
+// TestPutTakesOwnershipGetReturnsResident pins the by-reference
+// contract: Put stores the caller's slice itself, and Get, GetStale and a
+// second Get all hand back that same backing array — no block bytes are
+// allocated or copied on either side.
+func TestPutTakesOwnershipGetReturnsResident(t *testing.T) {
+	c := newTestCache(t, Config{MaxBytes: 1 << 20, Shards: 1, Seed: 1, StaleTTL: time.Minute})
 	id := model.BlockID("block-0001")
 	payload := []byte("decoded bytes")
 
@@ -55,19 +60,21 @@ func TestHitMissAndCopySemantics(t *testing.T) {
 	if !c.Put(id, 3, payload) {
 		t.Fatal("put rejected with empty cache")
 	}
-	payload[0] = 'X' // caller mutates its slice after Put; cache must hold a copy
-
-	got, ok := c.Get(id, 3)
-	if !ok {
-		t.Fatal("miss after put")
+	for i := 0; i < 2; i++ {
+		got, ok := c.Get(id, 3)
+		if !ok {
+			t.Fatal("miss after put")
+		}
+		if &got[0] != &payload[0] || len(got) != len(payload) {
+			t.Fatalf("Get #%d returned a copy, want the resident slice Put was given", i)
+		}
 	}
-	if string(got) != "decoded bytes" {
-		t.Fatalf("got %q, want %q (cache shared the caller's backing array)", got, "decoded bytes")
+	stale, ver, ok := c.GetStale(id)
+	if !ok || ver != 3 {
+		t.Fatalf("GetStale = (ver=%d, ok=%v), want version 3", ver, ok)
 	}
-	got[0] = 'Y' // mutating a hit must not corrupt the cache
-	again, ok := c.Get(id, 3)
-	if !ok || string(again) != "decoded bytes" {
-		t.Fatalf("after mutating a returned hit: got %q ok=%v", again, ok)
+	if &stale[0] != &payload[0] {
+		t.Fatal("GetStale returned a copy, want the resident slice")
 	}
 
 	s := c.Stats()
@@ -76,6 +83,51 @@ func TestHitMissAndCopySemantics(t *testing.T) {
 	}
 	if s.HitRatio() < 0.6 || s.HitRatio() > 0.7 {
 		t.Fatalf("hit ratio = %v, want 2/3", s.HitRatio())
+	}
+}
+
+// TestHitAndRejectedPutAllocateNoBlockBytes bounds what the two hot
+// calls may allocate: a hit is pointer work, and a candidate that
+// admission turns away was never copied in the first place.
+func TestHitAndRejectedPutAllocateNoBlockBytes(t *testing.T) {
+	const blockSize = 100 << 10
+	c := newTestCache(t, Config{MaxBytes: 2 * blockSize, Shards: 1, Seed: 1})
+	hot := model.BlockID("hot")
+	if !c.Put(hot, 1, make([]byte, blockSize)) {
+		t.Fatal("put rejected with empty cache")
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, ok := c.Get(hot, 1); !ok {
+			t.Fatal("miss")
+		}
+	}); n > 0 {
+		t.Errorf("cache hit allocates %.1f times, want 0", n)
+	}
+
+	// Fill the shard with hot residents, then offer cold one-hit wonders.
+	if !c.Put("hot2", 1, make([]byte, blockSize)) {
+		t.Fatal("second resident rejected")
+	}
+	for i := 0; i < 8; i++ {
+		c.Get(hot, 1)
+		c.Get("hot2", 1)
+	}
+	cold := make([]byte, blockSize)
+	rejectsBefore := c.Stats().AdmissionRejects
+	var m1, m2 runtime.MemStats
+	runtime.ReadMemStats(&m1)
+	const offers = 50
+	for i := 0; i < offers; i++ {
+		if c.Put(model.BlockID(fmt.Sprintf("cold-%d", i)), 1, cold) {
+			t.Fatalf("cold candidate %d displaced a hot resident", i)
+		}
+	}
+	runtime.ReadMemStats(&m2)
+	if got := c.Stats().AdmissionRejects - rejectsBefore; got != offers {
+		t.Fatalf("admission rejected %d of %d cold candidates", got, offers)
+	}
+	if perPut := (m2.TotalAlloc - m1.TotalAlloc) / offers; perPut > blockSize/10 {
+		t.Errorf("a rejected Put allocates %d bytes, want far below the %d-byte block", perPut, blockSize)
 	}
 }
 
@@ -353,7 +405,7 @@ func TestMaintenanceSweepsAndCloseStops(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	c.Close()
-	c.Close() // idempotent
+	c.Close()                            // idempotent
 	c.StartMaintenance(time.Millisecond) // no-op after Close
 }
 
@@ -428,7 +480,9 @@ func TestFlightWaitHonorsContext(t *testing.T) {
 	}
 }
 
-func TestFlightResultIsCopied(t *testing.T) {
+// TestFlightResultIsShared pins what makes decoded blocks immutable:
+// a follower receives the leader's slice itself, not a copy.
+func TestFlightResultIsShared(t *testing.T) {
 	g := NewFlightGroup()
 	lead, _ := g.Join("b", 1)
 	follow, _ := g.Join("b", 1)
@@ -438,8 +492,7 @@ func TestFlightResultIsCopied(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got[0] = 'X'
-	if string(src) != "shared" {
-		t.Fatal("follower mutation reached the leader's slice")
+	if &got[0] != &src[0] {
+		t.Fatal("follower got a copy, want the leader's slice")
 	}
 }

@@ -68,8 +68,9 @@ func (f *Flight) Complete(data []byte, err error) {
 }
 
 // Wait blocks until the leader completes the flight or ctx expires. On
-// success the returned bytes are a private copy: followers and the
-// leader's caller must not share a mutable backing array.
+// success every follower gets the leader's slice itself — the same one
+// the leader returns to its caller and offers to the cache — which is
+// why decoded blocks are immutable once they leave the decoder.
 func (f *Flight) Wait(ctx context.Context) ([]byte, error) {
 	select {
 	case <-ctx.Done():
@@ -79,7 +80,5 @@ func (f *Flight) Wait(ctx context.Context) ([]byte, error) {
 	if f.err != nil {
 		return nil, f.err
 	}
-	out := make([]byte, len(f.data))
-	copy(out, f.data)
-	return out, nil
+	return f.data, nil
 }

@@ -23,6 +23,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ecstore/internal/bufpool"
 	"ecstore/internal/cache"
 	"ecstore/internal/erasure"
 	"ecstore/internal/health"
@@ -32,7 +33,6 @@ import (
 	"ecstore/internal/placement"
 	"ecstore/internal/stats"
 	"ecstore/internal/storage"
-	"ecstore/internal/wire"
 )
 
 // Errors returned by the client.
@@ -241,21 +241,21 @@ type Client struct {
 // clientObs is the client's instrument set; every field is nil-safe so an
 // unconfigured client pays no instrumentation cost.
 type clientObs struct {
-	requests      *obs.Counter
-	puts          *obs.Counter
-	deletes       *obs.Counter
-	blocks        *obs.Counter
-	chunksFetched *obs.Counter
-	fetchErrors   *obs.Counter
-	lateDiscarded *obs.Counter
-	replans       *obs.Counter
-	retries       *obs.Counter
+	requests         *obs.Counter
+	puts             *obs.Counter
+	deletes          *obs.Counter
+	blocks           *obs.Counter
+	chunksFetched    *obs.Counter
+	fetchErrors      *obs.Counter
+	lateDiscarded    *obs.Counter
+	replans          *obs.Counter
+	retries          *obs.Counter
 	hedges           *obs.Counter
 	hedgesWon        *obs.Counter
 	hedgesLost       *obs.Counter
 	hedgesSuppressed *obs.Counter
-	deadlines     *obs.Counter
-	putCleanups   *obs.Counter
+	deadlines        *obs.Counter
+	putCleanups      *obs.Counter
 
 	streamPuts    *obs.Counter
 	streamStripes *obs.Counter
@@ -281,56 +281,56 @@ func newClientObs(reg *obs.Registry) clientObs {
 		return clientObs{}
 	}
 	return clientObs{
-		requests:      reg.Counter("client_requests_total", "multi-block read requests"),
-		puts:          reg.Counter("client_puts_total", "blocks written"),
-		deletes:       reg.Counter("client_deletes_total", "blocks deleted"),
-		blocks:        reg.Counter("client_blocks_total", "blocks requested across all reads"),
-		chunksFetched: reg.Counter("client_chunks_fetched_total", "chunk reads that returned data"),
-		fetchErrors:   reg.Counter("client_fetch_errors_total", "chunk reads that failed"),
-		lateDiscarded: reg.Counter("client_late_binding_discarded_total", "surplus chunk responses discarded by late binding"),
-		replans:       reg.Counter("client_replans_total", "re-planning rounds after mid-read site failures"),
-		retries:       reg.Counter("client_retries_total", "chunk and probe attempts retried after transient errors"),
-		hedges:        reg.Counter("client_hedged_reads_total", "extra chunk reads issued for slow blocks"),
-		hedgesWon:     reg.Counter("client_hedges_won_total", "hedged reads whose chunk was used"),
+		requests:         reg.Counter("client_requests_total", "multi-block read requests"),
+		puts:             reg.Counter("client_puts_total", "blocks written"),
+		deletes:          reg.Counter("client_deletes_total", "blocks deleted"),
+		blocks:           reg.Counter("client_blocks_total", "blocks requested across all reads"),
+		chunksFetched:    reg.Counter("client_chunks_fetched_total", "chunk reads that returned data"),
+		fetchErrors:      reg.Counter("client_fetch_errors_total", "chunk reads that failed"),
+		lateDiscarded:    reg.Counter("client_late_binding_discarded_total", "surplus chunk responses discarded by late binding"),
+		replans:          reg.Counter("client_replans_total", "re-planning rounds after mid-read site failures"),
+		retries:          reg.Counter("client_retries_total", "chunk and probe attempts retried after transient errors"),
+		hedges:           reg.Counter("client_hedged_reads_total", "extra chunk reads issued for slow blocks"),
+		hedgesWon:        reg.Counter("client_hedges_won_total", "hedged reads whose chunk was used"),
 		hedgesLost:       reg.Counter("client_hedges_lost_total", "hedged reads that arrived too late, failed or were discarded"),
 		hedgesSuppressed: reg.Counter("client_hedges_suppressed_total", "hedge opportunities skipped because the access tier reported overload"),
-		deadlines:     reg.Counter("client_deadline_expirations_total", "requests abandoned because their deadline expired"),
-		putCleanups:   reg.Counter("client_put_cleanups_total", "aborted writes whose stored chunks were rolled back"),
-		streamPuts:    reg.Counter("stream_puts_total", "blocks written through the streaming pipeline (PutReader)"),
-		streamStripes: reg.Counter("stream_stripes_total", "stripes encoded and shipped by streaming writes"),
-		streamBytes:   reg.Counter("stream_bytes_total", "payload bytes ingested by streaming writes"),
-		rangeReads:    reg.Counter("range_requests_total", "byte-range read requests (GetRange)"),
-		rangeBytes:    reg.Counter("range_bytes_total", "payload bytes served by range reads"),
-		rangeStripes:  reg.Counter("range_stripes_decoded_total", "stripes decoded to serve range reads"),
-		rangeCacheHit: reg.Counter("range_cache_hits_total", "range reads served from cached decoded blocks"),
-		packStaged:    reg.Counter("pack_staged_total", "small blocks staged into pack containers"),
-		packSealed:    reg.Counter("pack_sealed_total", "pack containers sealed and registered"),
-		packBlocks:    reg.Counter("pack_packed_blocks_total", "small blocks sealed inside pack containers"),
-		packBytes:     reg.Counter("pack_bytes_total", "payload bytes staged for packing"),
-		metadataH:     reg.Histogram("client_metadata_seconds", "read phase R1: metadata lookup latency"),
-		planH:         reg.Histogram("client_plan_seconds", "read phase R2: access planning latency"),
-		fetchH:        reg.Histogram("client_fetch_seconds", "read phase R3a: parallel chunk retrieval latency"),
-		decodeH:       reg.Histogram("client_decode_seconds", "read phase R3b: erasure decode latency"),
-		requestH:      reg.Histogram("client_request_seconds", "end-to-end multi-block read latency"),
+		deadlines:        reg.Counter("client_deadline_expirations_total", "requests abandoned because their deadline expired"),
+		putCleanups:      reg.Counter("client_put_cleanups_total", "aborted writes whose stored chunks were rolled back"),
+		streamPuts:       reg.Counter("stream_puts_total", "blocks written through the streaming pipeline (PutReader)"),
+		streamStripes:    reg.Counter("stream_stripes_total", "stripes encoded and shipped by streaming writes"),
+		streamBytes:      reg.Counter("stream_bytes_total", "payload bytes ingested by streaming writes"),
+		rangeReads:       reg.Counter("range_requests_total", "byte-range read requests (GetRange)"),
+		rangeBytes:       reg.Counter("range_bytes_total", "payload bytes served by range reads"),
+		rangeStripes:     reg.Counter("range_stripes_decoded_total", "stripes decoded to serve range reads"),
+		rangeCacheHit:    reg.Counter("range_cache_hits_total", "range reads served from cached decoded blocks"),
+		packStaged:       reg.Counter("pack_staged_total", "small blocks staged into pack containers"),
+		packSealed:       reg.Counter("pack_sealed_total", "pack containers sealed and registered"),
+		packBlocks:       reg.Counter("pack_packed_blocks_total", "small blocks sealed inside pack containers"),
+		packBytes:        reg.Counter("pack_bytes_total", "payload bytes staged for packing"),
+		metadataH:        reg.Histogram("client_metadata_seconds", "read phase R1: metadata lookup latency"),
+		planH:            reg.Histogram("client_plan_seconds", "read phase R2: access planning latency"),
+		fetchH:           reg.Histogram("client_fetch_seconds", "read phase R3a: parallel chunk retrieval latency"),
+		decodeH:          reg.Histogram("client_decode_seconds", "read phase R3b: erasure decode latency"),
+		requestH:         reg.Histogram("client_request_seconds", "end-to-end multi-block read latency"),
 	}
 }
 
-// newCodecMetrics builds the codec's instrument set and points the wire
-// encoder pool's miss hook at the shared buffer_pool_miss_total counter,
-// so one metric covers both data-path pools. The hook is process-global;
-// with several registries the most recent client's counter wins, which
-// is fine for the single-registry deployments the harness runs. A nil
+// newCodecMetrics builds the codec's instrument set and points
+// bufpool's miss hook at the buffer_pool_miss_total counter, so one
+// metric covers every data-path pool in the process (codec stripes, rpc
+// frames, store reads, wire encoders). The hook is process-global; with
+// several registries the most recent client's counter wins, which is
+// fine for the single-registry deployments the harness runs. A nil
 // registry yields nil, disabling codec instrumentation.
 func newCodecMetrics(reg *obs.Registry) *erasure.Metrics {
 	if reg == nil {
 		return nil
 	}
-	miss := reg.Counter("buffer_pool_miss_total", "data-path buffer pool misses (chunk backing + wire encoders)")
-	wire.SetPoolMiss(func() { miss.Add(1) })
+	miss := reg.Counter("buffer_pool_miss_total", "data-path buffer pool misses (codec, rpc and store buffers, wire encoders)")
+	bufpool.SetMissHook(func() { miss.Add(1) })
 	return &erasure.Metrics{
 		EncodeBytes: reg.Counter("codec_encode_bytes_total", "block bytes erasure-encoded"),
 		DecodeBytes: reg.Counter("codec_decode_bytes_total", "block bytes erasure-decoded"),
-		PoolMisses:  miss,
 	}
 }
 
@@ -687,7 +687,8 @@ func (c *Client) Get(id model.BlockID) ([]byte, error) {
 	return c.GetContext(context.Background(), id)
 }
 
-// GetContext retrieves one block under a caller-supplied context.
+// GetContext retrieves one block under a caller-supplied context. The
+// returned bytes are read-only (see GetMultiContext).
 func (c *Client) GetContext(ctx context.Context, id model.BlockID) ([]byte, error) {
 	res, _, err := c.GetMultiContext(ctx, []model.BlockID{id})
 	if err != nil {
@@ -706,6 +707,12 @@ func (c *Client) GetMulti(ids []model.BlockID) (map[model.BlockID][]byte, model.
 
 // GetMultiContext is GetMulti under a caller-supplied context; the
 // configured RequestTimeout is additionally applied when set.
+//
+// Every block a Get* method returns is an immutable shared value: the
+// same slice may be resident in the decoded-block cache and in the hands
+// of every other reader of that block — concurrent requests coalesced
+// onto one fetch, and all later cache hits. Callers must not modify it;
+// one that needs a scratch copy makes its own.
 func (c *Client) GetMultiContext(ctx context.Context, ids []model.BlockID) (map[model.BlockID][]byte, model.Breakdown, error) {
 	var bd model.Breakdown
 	if len(ids) == 0 {
@@ -945,6 +952,10 @@ func (c *Client) fetchBlocks(ctx context.Context, req placement.PlanRequest, tr 
 
 	t3 := time.Now()
 	sp = tr.StartSpan("decode")
+	// The chunk buffers have served their one hop once the blocks are
+	// decoded out of them (or decoding failed): planned, surplus and
+	// hedge chunks alike go back to the pool.
+	defer releaseChunks(chunks)
 	out := make(map[model.BlockID][]byte, len(metas))
 	for id, meta := range metas {
 		data, err := c.assemble(meta, chunks[id])
@@ -973,7 +984,8 @@ func (c *Client) unavailableKey() string {
 	return fmt.Sprint(c.health.Unavailable())
 }
 
-// fetchResult carries one chunk retrieval outcome.
+// fetchResult carries one chunk retrieval outcome. data is a bufpool
+// buffer owned by whoever holds the result.
 type fetchResult struct {
 	ref   model.ChunkRef
 	site  model.SiteID
@@ -982,21 +994,85 @@ type fetchResult struct {
 	hedge bool
 }
 
+// chunkSink carries chunk reads from the goroutines performing them to
+// the one collector that started them, and makes sure every chunk buffer
+// has exactly one owner even though the collector usually leaves before
+// the last read lands (late binding, hedging, errors): until finish the
+// collector receives from ch and owns what it receives; from then on
+// whatever is or arrives in ch is released by whoever sees it first.
+type chunkSink struct {
+	// ch is buffered for every read the collector can start, so send
+	// never blocks.
+	ch   chan fetchResult
+	done atomic.Bool
+}
+
+func newChunkSink(reads int) *chunkSink {
+	return &chunkSink{ch: make(chan fetchResult, reads)}
+}
+
+// send delivers one read's outcome. If the collector has already
+// finished, the sender releases the buffer itself: either finish's drain
+// saw this result, or done was set before the Load below.
+func (s *chunkSink) send(res fetchResult) {
+	s.ch <- res
+	if s.done.Load() {
+		s.drain()
+	}
+}
+
+// finish ends collection: results already queued and every later one
+// are released instead of received.
+func (s *chunkSink) finish() {
+	s.done.Store(true)
+	s.drain()
+}
+
+func (s *chunkSink) drain() {
+	for {
+		select {
+		case res := <-s.ch:
+			bufpool.Put(res.data)
+		default:
+			return
+		}
+	}
+}
+
+// releaseChunks returns every fetched chunk buffer left in got to the
+// pool. assemble removes the one chunk it hands out as a block first.
+func releaseChunks(got map[model.BlockID]map[int][]byte) {
+	for _, chunks := range got {
+		releaseAll(chunks)
+	}
+}
+
+// releaseAll returns one block's fetched chunk (or segment) buffers to
+// the pool.
+func releaseAll(chunks map[int][]byte) {
+	for _, data := range chunks {
+		bufpool.Put(data)
+	}
+}
+
 // fetch executes an access plan: one goroutine per accessed site issues
 // that site's chunk reads sequentially (modelling one connection per site),
 // and the caller completes as soon as every block has k chunks. In-flight
 // reads are canceled the moment the request is satisfied or fails, and
-// surplus late-binding responses are discarded as they trickle in. When
+// surplus late-binding responses are released as they trickle in. When
 // hedging is enabled, blocks still unsatisfied after the hedge threshold
 // get one extra chunk read from the cheapest not-yet-planned site.
+//
+// On success the caller owns the returned chunk buffers (releaseChunks);
+// on error they have all been released already.
 func (c *Client) fetch(ctx context.Context, plan *model.AccessPlan, metas map[model.BlockID]*model.BlockMeta, span obs.SpanRef) (map[model.BlockID]map[int][]byte, error) {
 	total := plan.ChunkCount()
 	fetchCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	// Buffered for every planned read plus one hedge per block, so
-	// goroutines never block sending after the collector has returned.
-	results := make(chan fetchResult, total+len(metas))
+	// Room for every planned read plus one hedge per block.
+	results := newChunkSink(total + len(metas))
+	defer results.finish()
 	for _, site := range plan.SortedSites() {
 		refs := plan.Reads[site]
 		var siteSpan obs.SpanRef
@@ -1049,7 +1125,7 @@ func (c *Client) fetch(ctx context.Context, plan *model.AccessPlan, metas map[mo
 	outstanding := total
 	for outstanding > 0 && satisfied < len(metas) {
 		select {
-		case res := <-results:
+		case res := <-results.ch:
 			outstanding--
 			if !res.hedge {
 				plannedSeen++
@@ -1072,6 +1148,7 @@ func (c *Client) fetch(ctx context.Context, plan *model.AccessPlan, metas map[mo
 				got[res.ref.Block] = m
 			}
 			if _, dup := m[res.ref.Chunk]; dup {
+				bufpool.Put(res.data)
 				continue
 			}
 			wasSatisfied := len(m) >= need[res.ref.Block]
@@ -1092,6 +1169,7 @@ func (c *Client) fetch(ctx context.Context, plan *model.AccessPlan, metas map[mo
 		case <-ctx.Done():
 			c.obs.deadlines.Inc()
 			flush()
+			releaseChunks(got)
 			return nil, fmt.Errorf("core: fetch: %w", ctx.Err())
 		}
 	}
@@ -1100,7 +1178,9 @@ func (c *Client) fetch(ctx context.Context, plan *model.AccessPlan, metas map[mo
 	if satisfied < len(metas) {
 		for id := range metas {
 			if len(got[id]) < need[id] {
-				return nil, fmt.Errorf("%w: %s has %d of %d chunks", ErrBlockUnavailable, id, len(got[id]), need[id])
+				err := fmt.Errorf("%w: %s has %d of %d chunks", ErrBlockUnavailable, id, len(got[id]), need[id])
+				releaseChunks(got)
+				return nil, err
 			}
 		}
 	}
@@ -1111,7 +1191,7 @@ func (c *Client) fetch(ctx context.Context, plan *model.AccessPlan, metas map[mo
 // per site). After a site-level failure, the remaining refs fail fast
 // instead of being attempted, so a hung site costs at most one per-chunk
 // timeout per fetch round rather than one per planned read.
-func (c *Client) fetchSite(ctx context.Context, site model.SiteID, refs []model.ChunkRef, siteSpan obs.SpanRef, results chan<- fetchResult) {
+func (c *Client) fetchSite(ctx context.Context, site model.SiteID, refs []model.ChunkRef, siteSpan obs.SpanRef, results *chunkSink) {
 	defer siteSpan.End()
 	api := c.sites[site]
 	var down error
@@ -1123,11 +1203,11 @@ func (c *Client) fetchSite(ctx context.Context, site model.SiteID, refs []model.
 			down = ctx.Err()
 		}
 		if down != nil {
-			results <- fetchResult{ref: ref, site: site, err: down}
+			results.send(fetchResult{ref: ref, site: site, err: down})
 			continue
 		}
 		data, err := c.readChunk(ctx, api, ref)
-		results <- fetchResult{ref: ref, site: site, data: data, err: err}
+		results.send(fetchResult{ref: ref, site: site, data: data, err: err})
 		if err != nil && !errors.Is(err, context.Canceled) && isSiteFailure(err) {
 			down = err
 		}
@@ -1159,7 +1239,7 @@ func (c *Client) hedgeThreshold() time.Duration {
 // extending late binding: the hedge targets a chunk the plan did not
 // select, fetched from the cheapest available holder under the Eq. 1 cost
 // model (o_j + m_j x chunk size). Returns how many hedges were started.
-func (c *Client) launchHedges(ctx context.Context, metas map[model.BlockID]*model.BlockMeta, planned map[model.BlockID]map[int]bool, got map[model.BlockID]map[int][]byte, need map[model.BlockID]int, results chan<- fetchResult) int {
+func (c *Client) launchHedges(ctx context.Context, metas map[model.BlockID]*model.BlockMeta, planned map[model.BlockID]map[int]bool, got map[model.BlockID]map[int][]byte, need map[model.BlockID]int, results *chunkSink) int {
 	costs := c.costs()
 	launched := 0
 	for id, meta := range metas {
@@ -1190,15 +1270,12 @@ func (c *Client) launchHedges(ctx context.Context, metas map[model.BlockID]*mode
 		site := meta.Sites[best]
 		api := c.sites[site]
 		launched++
+		//lint:ignore goleak ends with the one read it performs, which honours ctx (canceled when fetch returns); the sink send never blocks
 		go func(site model.SiteID, api storage.SiteAPI, ref model.ChunkRef) {
 			data, err := c.readChunk(ctx, api, ref)
 			// The request may have been satisfied (or expired) while
-			// this hedge was in flight; never block on a collector
-			// that already went away.
-			select {
-			case results <- fetchResult{ref: ref, site: site, data: data, err: err, hedge: true}:
-			case <-ctx.Done():
-			}
+			// this hedge was in flight; the sink then releases the chunk.
+			results.send(fetchResult{ref: ref, site: site, data: data, err: err, hedge: true})
 		}(site, api, ref)
 	}
 	return launched
@@ -1266,16 +1343,25 @@ func retryable(err error) bool {
 // (written by PutReader) interleave the data across chunks, so the
 // chunks are decoded into one k*ChunkSize window and the block gathered
 // out of it; contiguous blocks decode directly.
+//
+// The block it returns is a fresh value nobody else references, ready to
+// be shared read-only by the cache and the caller. Under replication
+// that value is one of the fetched chunks itself: it is removed from
+// chunks so the caller's releaseChunks cannot recycle it.
 func (c *Client) assemble(meta *model.BlockMeta, chunks map[int][]byte) ([]byte, error) {
 	if meta.Scheme == model.SchemeReplicated {
-		for _, data := range chunks {
+		for id, data := range chunks {
+			delete(chunks, id)
 			return data, nil
 		}
 		return nil, fmt.Errorf("%w: no replica fetched", ErrBlockUnavailable)
 	}
 	if meta.StripeUnit > 0 {
 		lay := layoutOf(meta)
-		win := make([]byte, int64(meta.K)*meta.ChunkSize)
+		// Scratch that lives for this call only; DecodeInto overwrites
+		// every byte of it.
+		win := bufpool.Get(int(int64(meta.K) * meta.ChunkSize))
+		defer bufpool.Put(win)
 		if err := c.codec.DecodeInto(win, chunks); err != nil {
 			return nil, err
 		}

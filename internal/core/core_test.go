@@ -14,7 +14,7 @@ import (
 	"ecstore/internal/placement"
 )
 
-func newTestCluster(t *testing.T, cfg ClusterConfig) *Cluster {
+func newTestCluster(t testing.TB, cfg ClusterConfig) *Cluster {
 	t.Helper()
 	if cfg.NumSites == 0 {
 		cfg.NumSites = 8

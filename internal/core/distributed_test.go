@@ -30,7 +30,7 @@ func (d *distributedCluster) Close() {
 	}
 }
 
-func newDistributedCluster(t *testing.T, numSites int, cfg Config) *distributedCluster {
+func newDistributedCluster(t testing.TB, numSites int, cfg Config) *distributedCluster {
 	t.Helper()
 	net := transport.NewMemory()
 	d := &distributedCluster{services: make(map[model.SiteID]*storage.Service)}

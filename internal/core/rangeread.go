@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 
+	"ecstore/internal/bufpool"
 	"ecstore/internal/model"
 	"ecstore/internal/storage"
 )
@@ -22,7 +23,9 @@ var ErrRangeOutOfBounds = errors.New("core: range outside block")
 // stripes; a legacy contiguous block degrades gracefully (a range
 // inside one data chunk stays tight, a chunk-crossing range reads whole
 // chunks). Range reads of cached decoded blocks are sliced from the
-// cache without any site access.
+// cache without any site access or copy; like every block the client
+// returns, the result may share memory with the cache and other readers
+// and must not be modified.
 func (c *Client) GetRange(ctx context.Context, id model.BlockID, off, n int64) ([]byte, error) {
 	if off < 0 || n < 0 {
 		return nil, fmt.Errorf("%w: [%d,+%d)", ErrRangeOutOfBounds, off, n)
@@ -77,9 +80,9 @@ func (c *Client) rangeRead(ctx context.Context, meta *model.BlockMeta, off, n in
 	if n == 0 {
 		return []byte{}, nil
 	}
-	// A cached decoded block already holds every byte: slice it without
-	// touching any site. Entries are version-keyed, so a moved or
-	// rewritten block cannot serve stale ranges.
+	// A cached decoded block already holds every byte: slice the resident
+	// block without touching any site. Entries are version-keyed, so a
+	// moved or rewritten block cannot serve stale ranges.
 	if c.cache != nil {
 		if data, ok := c.cache.Get(meta.ID, meta.Version); ok && off+n <= int64(len(data)) {
 			c.obs.rangeCacheHit.Inc()
@@ -100,7 +103,9 @@ func (c *Client) rangeRead(ctx context.Context, meta *model.BlockMeta, off, n in
 	if err != nil {
 		return nil, err
 	}
-	win := make([]byte, int64(meta.K)*(hi-lo))
+	defer releaseAll(segs)
+	win := bufpool.Get(int(int64(meta.K) * (hi - lo)))
+	defer bufpool.Put(win)
 	if err := c.codec.DecodeInto(win, segs); err != nil {
 		return nil, fmt.Errorf("decode range of %s: %w", meta.ID, err)
 	}
@@ -144,19 +149,12 @@ func (c *Client) rangeReplica(ctx context.Context, meta *model.BlockMeta, off, n
 	return nil, fmt.Errorf("%w: %s: %w", ErrBlockUnavailable, meta.ID, lastErr)
 }
 
-// segResult carries one chunk-segment retrieval outcome.
-type segResult struct {
-	chunk int
-	site  model.SiteID
-	data  []byte
-	err   error
-}
-
 // fetchSegments retrieves the window [lo, hi) of any k of meta's chunks
 // in parallel. Data chunks are preferred (present data segments decode
 // by memcpy; every parity segment costs k kernel passes), breaker-open
 // sites are tried only as spares, and each failure promotes the next
-// candidate until k segments arrive or the candidates run out.
+// candidate until k segments arrive or the candidates run out. The
+// caller owns the returned segment buffers; on error there are none.
 func (c *Client) fetchSegments(ctx context.Context, meta *model.BlockMeta, lo, hi int64) (map[int][]byte, error) {
 	need := meta.K
 	var primary, spare []int
@@ -179,16 +177,16 @@ func (c *Client) fetchSegments(ctx context.Context, meta *model.BlockMeta, lo, h
 
 	fctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	results := make(chan segResult, len(candidates))
+	results := newChunkSink(len(candidates))
+	defer results.finish()
 	launch := func(chunk int) {
 		site := meta.Sites[chunk]
 		api := c.sites[site]
+		ref := model.ChunkRef{Block: meta.ID, Chunk: chunk}
+		//lint:ignore goleak ends with the one read it performs, which honours fctx (canceled when fetchSegments returns); the sink send never blocks
 		go func() {
-			data, err := c.readSegment(fctx, api, model.ChunkRef{Block: meta.ID, Chunk: chunk}, lo, hi-lo)
-			select {
-			case results <- segResult{chunk: chunk, site: site, data: data, err: err}:
-			case <-fctx.Done():
-			}
+			data, err := c.readSegment(fctx, api, ref, lo, hi-lo)
+			results.send(fetchResult{ref: ref, site: site, data: data, err: err})
 		}()
 	}
 	next := 0
@@ -202,7 +200,7 @@ func (c *Client) fetchSegments(ctx context.Context, meta *model.BlockMeta, lo, h
 	var lastErr error
 	for len(segs) < need && inflight > 0 {
 		select {
-		case res := <-results:
+		case res := <-results.ch:
 			inflight--
 			if res.err != nil {
 				c.obs.fetchErrors.Inc()
@@ -219,13 +217,15 @@ func (c *Client) fetchSegments(ctx context.Context, meta *model.BlockMeta, lo, h
 			}
 			c.health.ReportSuccess(res.site)
 			c.obs.chunksFetched.Inc()
-			segs[res.chunk] = res.data
+			segs[res.ref.Chunk] = res.data
 		case <-ctx.Done():
 			c.obs.deadlines.Inc()
+			releaseAll(segs)
 			return nil, fmt.Errorf("core: range fetch: %w", ctx.Err())
 		}
 	}
 	if len(segs) < need {
+		releaseAll(segs)
 		return nil, fmt.Errorf("%w: %s range fetch got %d of %d segments: %w", ErrBlockUnavailable, meta.ID, len(segs), need, lastErr)
 	}
 	return segs, nil
@@ -250,6 +250,7 @@ func (c *Client) readSegment(ctx context.Context, api storage.SiteAPI, ref model
 		if err == nil && int64(len(data)) != n {
 			// A short segment means the stored chunk disagrees with the
 			// metadata's layout; retrying the same site cannot help.
+			bufpool.Put(data)
 			return nil, fmt.Errorf("%w: %s [%d,+%d) returned %d bytes", storage.ErrShortChunk, ref, off, n, len(data))
 		}
 		if err == nil || !retryable(err) {

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"ecstore/internal/bufpool"
 	"ecstore/internal/erasure"
 	"ecstore/internal/model"
 )
@@ -88,8 +89,7 @@ func (c *Client) streamPut(ctx context.Context, id model.BlockID, r io.Reader, m
 		// One pooled buffer per stripe: EncodePooled over an exactly
 		// stripe-sized input aliases every data chunk into it, so the
 		// buffer must live until the stripe's writes finish.
-		pbuf := erasure.AcquireBuffer(stripeBytes)
-		buf := (*pbuf)[:stripeBytes]
+		buf := bufpool.Get(stripeBytes)
 		n, rerr := io.ReadFull(r, buf)
 		switch {
 		case rerr == nil:
@@ -100,11 +100,11 @@ func (c *Client) streamPut(ctx context.Context, id model.BlockID, r io.Reader, m
 			clear(buf[n:])
 			done = true
 		case errors.Is(rerr, io.EOF):
-			erasure.ReleaseBuffer(pbuf)
+			bufpool.Put(buf)
 			done = true
 			continue
 		default:
-			erasure.ReleaseBuffer(pbuf)
+			bufpool.Put(buf)
 			fail(fmt.Errorf("read stream for %s: %w", id, rerr))
 			done = true
 			continue
@@ -113,7 +113,7 @@ func (c *Client) streamPut(ctx context.Context, id model.BlockID, r io.Reader, m
 
 		stripe, eerr := c.codec.EncodePooled(buf)
 		if eerr != nil {
-			erasure.ReleaseBuffer(pbuf)
+			bufpool.Put(buf)
 			fail(fmt.Errorf("encode stripe %d of %s: %w", stripes, id, eerr))
 			break
 		}
@@ -122,22 +122,22 @@ func (c *Client) streamPut(ctx context.Context, id model.BlockID, r io.Reader, m
 		case sem <- struct{}{}:
 		case <-wctx.Done():
 			stripe.Release()
-			erasure.ReleaseBuffer(pbuf)
+			bufpool.Put(buf)
 			done = true
 			continue
 		}
 		wg.Add(1)
-		go func(t int64, pbuf *[]byte, stripe *erasure.Stripe) {
+		go func(t int64, buf []byte, stripe *erasure.Stripe) {
 			defer wg.Done()
 			defer func() {
 				stripe.Release()
-				erasure.ReleaseBuffer(pbuf)
+				bufpool.Put(buf)
 				<-sem
 			}()
 			if err := c.writeStripe(wctx, id, chosen, t, stripe.Chunks()); err != nil {
 				fail(err)
 			}
-		}(stripes, pbuf, stripe)
+		}(stripes, buf, stripe)
 		stripes++
 	}
 	wg.Wait()

@@ -3,26 +3,19 @@ package erasure
 import (
 	"sync"
 
+	"ecstore/internal/bufpool"
 	"ecstore/internal/gf256"
 	"ecstore/internal/obs"
 )
 
-// Metrics receives codec throughput and buffer-pool counters. All
-// fields and the receiver itself are nil-safe, so an unwired codec pays
-// only nil checks.
+// Metrics receives codec throughput counters. All fields and the
+// receiver itself are nil-safe, so an unwired codec pays only nil
+// checks.
 type Metrics struct {
 	// EncodeBytes counts block bytes erasure-encoded.
 	EncodeBytes *obs.Counter
 	// DecodeBytes counts block bytes reconstructed by decode.
 	DecodeBytes *obs.Counter
-	// PoolMisses counts chunk-buffer pool misses (a fresh allocation).
-	PoolMisses *obs.Counter
-}
-
-func (m *Metrics) poolMiss() {
-	if m != nil {
-		m.PoolMisses.Add(1)
-	}
 }
 
 func (m *Metrics) encoded(n int) {
@@ -38,17 +31,19 @@ func (m *Metrics) decoded(n int) {
 }
 
 // Stripe is the result of EncodePooled: the k+r chunks of one encoded
-// block, backed by at most one pooled allocation.
+// block, backed by at most one bufpool buffer.
 //
 // Ownership: chunk ids [0,k) may alias the block passed to
 // EncodePooled; padded data chunks and all parity chunks live in the
-// pooled backing array. The caller must treat every chunk as read-only,
-// must not retain any chunk past Release, and must not mutate the
-// source block until Release. Consumers that outlive the stripe (site
-// stores, the block cache) copy on ingest.
+// pooled backing array, which the stripe owns exclusively until
+// Release. The caller must treat every chunk as read-only, must not
+// retain any chunk past Release, and must not mutate the source block
+// until Release. The consumers that outlive the stripe are the site
+// stores, which copy on ingest (locally) or have the chunk fully written
+// to their socket (remotely) before the put call returns.
 type Stripe struct {
 	chunks  [][]byte
-	backing *[]byte
+	backing []byte
 }
 
 // Chunks returns the k+r chunks indexed by chunk id: ids [0,k) are data
@@ -61,7 +56,7 @@ func (s *Stripe) Release() {
 	if s.backing == nil && s.chunks == nil {
 		return
 	}
-	putBuf(s.backing)
+	bufpool.Put(s.backing)
 	s.backing = nil
 	clear(s.chunks)
 	s.chunks = s.chunks[:0]
@@ -95,8 +90,8 @@ func (c *Codec) EncodePooled(data []byte) (*Stripe, error) {
 			nPad++
 		}
 	}
-	st.backing = getBuf((nPad+c.r)*size, c.metrics)
-	backing := *st.backing
+	st.backing = bufpool.Get((nPad + c.r) * size)
+	backing := st.backing
 
 	pad := 0
 	for i := 0; i < c.k; i++ {

@@ -32,7 +32,10 @@ var (
 
 // Proxy is the slice of core.Client the gateway drives. One Proxy is
 // shared by every tenant, so they pool its connections, decoded-block
-// cache, circuit breakers and hedging policy.
+// cache, circuit breakers and hedging policy. The bytes GetContext and
+// GetRange return are shared with that cache and with concurrent
+// readers: the gateway and its fronts only read them, and never hand
+// them to a buffer pool.
 type Proxy interface {
 	PutContext(ctx context.Context, id model.BlockID, data []byte) error
 	PutReader(ctx context.Context, id model.BlockID, r io.Reader) (int64, error)

@@ -39,8 +39,9 @@ func (s *Server) Handle(ctx context.Context, method rpc.Method, body []byte) ([]
 	switch method {
 	case methodGwPut:
 		// Request: tenant | key | block data as the raw trailing
-		// payload (aliases the request frame; PutContext encodes chunks
-		// before returning, so the frame is not retained).
+		// payload. It aliases the request frame, which the rpc server
+		// recycles when Handle returns: PutContext has shipped every
+		// chunk (or copied the block into the packer) by then.
 		tenant := d.String()
 		key := d.String()
 		if err := d.Err(); err != nil {
@@ -54,7 +55,9 @@ func (s *Server) Handle(ctx context.Context, method rpc.Method, body []byte) ([]
 		if err := d.Err(); err != nil {
 			return nil, err
 		}
-		// The block is the whole response body (vectored write).
+		// The block is the whole response body (vectored write). It may
+		// be the cache's resident copy, so unlike a site's chunk reads it
+		// is never declared with rpc.ReleaseAfterWrite.
 		return s.gw.Get(ctx, tenant, model.BlockID(key))
 
 	case methodGwRange:

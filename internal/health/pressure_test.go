@@ -26,14 +26,18 @@ func TestPressureZeroValueAndNil(t *testing.T) {
 
 func TestPressureThreshold(t *testing.T) {
 	p := NewPressure(4)
-	for depth, want := range map[int]bool{0: false, 3: false, 4: true, 9: true} {
-		p.SetQueueDepth(depth)
-		if got := p.Overloaded(); got != want {
-			t.Errorf("depth %d: Overloaded() = %v, want %v", depth, got, want)
+	cases := []struct {
+		depth int
+		want  bool
+	}{{0, false}, {3, false}, {4, true}, {9, true}}
+	for _, tc := range cases {
+		p.SetQueueDepth(tc.depth)
+		if got := p.Overloaded(); got != tc.want {
+			t.Errorf("depth %d: Overloaded() = %v, want %v", tc.depth, got, tc.want)
 		}
 	}
-	if p.QueueDepth() == 0 {
-		t.Fatal("QueueDepth should reflect the last published depth")
+	if got := p.QueueDepth(); got != 9 {
+		t.Fatalf("QueueDepth() = %d, want the last published depth 9", got)
 	}
 }
 

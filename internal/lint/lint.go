@@ -16,7 +16,7 @@
 //	            through calls made while a lock is held) must be acyclic;
 //	            cycles are reported with the full acquisition path
 //	poolbalance values from sync.Pool.Get and the project pool helpers
-//	            (erasure.EncodePooled, getBuf, AcquireBuffer, ...) must
+//	            (bufpool.Get, wire.GetEncoder, erasure.EncodePooled, ...) must
 //	            reach a matching Put/Release on every path, defer included
 //
 // The interprocedural rules share a module-wide call graph (callgraph.go)

@@ -9,11 +9,11 @@ import (
 // PoolBalance checks that every value obtained from a pool reaches a
 // matching release on all paths. Pool sources are (*sync.Pool).Get and
 // any module function inferred (transitively, through the call graph)
-// to return a pooled value — erasure.EncodePooled, getBuf,
-// AcquireBuffer and friends qualify without being hardcoded. Releasers
-// are (*sync.Pool).Put and any module function that passes a parameter
-// (or its receiver) to a releaser — putBuf, ReleaseBuffer,
-// (*Stripe).Release.
+// to return a pooled value — bufpool.Get, wire.GetEncoder,
+// erasure.EncodePooled and friends qualify without being hardcoded.
+// Releasers are (*sync.Pool).Put and any module function that passes a
+// parameter (or its receiver) to a releaser — bufpool.Put,
+// wire.PutEncoder, (*Stripe).Release.
 //
 // Each function (and each function literal, as its own unit) is walked
 // with branch-aware, optimistic path tracking: a pooled value assigned
@@ -21,7 +21,11 @@ import (
 // returned (ownership moves to the caller), or escape (stored in a
 // field/global, passed to a non-releaser call, captured by a closure —
 // after which this analysis trusts the new owner) before every return
-// and before function end. The error-return idiom is understood:
+// and before function end. Filling the buffer is not an escape: the
+// builtins copy/len/cap/clear and reads under the io.Reader contract
+// ("implementations must not retain p": io.ReadFull, io.ReadAtLeast,
+// any Read or ReadAt method) only borrow their argument, so a frame
+// buffer that is read into and then dropped on the error path is found. The error-return idiom is understood:
 // after `v, err := Source(...)`, paths guarded by `err != nil` treat v
 // as absent. Releasing the same variable twice in straight-line code is
 // reported as a double release, and discarding a source's result
@@ -156,17 +160,37 @@ func (st *poolBalanceState) isSourceFn(fi *FuncInfo) bool {
 	return result
 }
 
-// unwrapPooled strips parens and type assertions: the pooled value
-// flows through `v.(*T)` unchanged.
+// unwrapPooled strips the expressions a pooled value flows through
+// unchanged: parens, type assertions `v.(*T)`, reslicing `v[:n]`, and
+// the unsafe.Slice / unsafe.SliceData conversions between a buffer and
+// its base pointer (bufpool pools the bare pointer).
 func unwrapPooled(e ast.Expr) ast.Expr {
 	for {
 		switch t := ast.Unparen(e).(type) {
 		case *ast.TypeAssertExpr:
 			e = t.X
+		case *ast.SliceExpr:
+			e = t.X
+		case *ast.CallExpr:
+			if !isUnsafeSliceConv(t) {
+				return t
+			}
+			e = t.Args[0]
 		default:
 			return t
 		}
 	}
+}
+
+// isUnsafeSliceConv reports whether call is unsafe.Slice(p, n) or
+// unsafe.SliceData(s): the same memory under another type.
+func isUnsafeSliceConv(call *ast.CallExpr) bool {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || len(call.Args) == 0 {
+		return false
+	}
+	pkg, ok := sel.X.(*ast.Ident)
+	return ok && pkg.Name == "unsafe" && (sel.Sel.Name == "Slice" || sel.Sel.Name == "SliceData")
 }
 
 // releaserOf returns the parameter indexes (receiver = -1) that fi
@@ -212,7 +236,7 @@ func (st *poolBalanceState) releaserOf(fi *FuncInfo) map[int]bool {
 			return true
 		}
 		for _, pos := range st.releaseArgs(fi.Pkg, call) {
-			if id, ok := ast.Unparen(pos).(*ast.Ident); ok {
+			if id, ok := unwrapPooled(pos).(*ast.Ident); ok {
 				if i, ok := paramIdx[fi.Pkg.Info.Uses[id]]; ok {
 					released[i] = true
 				}
@@ -391,6 +415,14 @@ func escapeIdents(pkg *Package, n ast.Node, sc *pbScope) {
 	deref := make(map[*ast.Ident]bool)
 	ast.Inspect(n, func(m ast.Node) bool {
 		switch e := m.(type) {
+		case *ast.CallExpr:
+			if borrowsArgs(pkg, e) {
+				for _, arg := range e.Args {
+					if id, ok := unwrapPooled(arg).(*ast.Ident); ok {
+						deref[id] = true
+					}
+				}
+			}
 		case *ast.SelectorExpr:
 			if id, ok := ast.Unparen(e.X).(*ast.Ident); ok {
 				deref[id] = true
@@ -410,6 +442,26 @@ func escapeIdents(pkg *Package, n ast.Node, sc *pbScope) {
 		}
 		return true
 	})
+}
+
+// borrowsArgs reports whether call only borrows its arguments for its
+// own duration: the size and fill builtins, and reads under the
+// io.Reader contract, which forbids retaining the buffer.
+func borrowsArgs(pkg *Package, call *ast.CallExpr) bool {
+	switch obj := calleeObj(pkg.Info, call).(type) {
+	case *types.Builtin:
+		switch obj.Name() {
+		case "copy", "len", "cap", "clear":
+			return true
+		}
+	case *types.Func:
+		if isPkgFunc(obj, "io", "ReadFull") || isPkgFunc(obj, "io", "ReadAtLeast") {
+			return true
+		}
+		sig := obj.Type().(*types.Signature)
+		return sig.Recv() != nil && (obj.Name() == "Read" || obj.Name() == "ReadAt")
+	}
+	return false
 }
 
 func (st *poolBalanceState) walkStmt(pkg *Package, stmt ast.Stmt, sc *pbScope) {
@@ -625,7 +677,7 @@ func (st *poolBalanceState) applyRelease(pkg *Package, call *ast.CallExpr, sc *p
 	}
 	any := false
 	for _, arg := range args {
-		id, ok := ast.Unparen(arg).(*ast.Ident)
+		id, ok := unwrapPooled(arg).(*ast.Ident)
 		if !ok {
 			escapeIdents(pkg, arg, sc)
 			continue

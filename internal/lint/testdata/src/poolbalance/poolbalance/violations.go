@@ -11,7 +11,8 @@ type buf struct {
 var pool = sync.Pool{New: func() any { return new(buf) }}
 
 // getBuf and putBuf are inferred as a pool source and a releaser, the
-// way the production helpers (erasure.getBuf, putBuf) are.
+// way the production helpers (wire.GetEncoder, PutEncoder) are;
+// frames.go covers the real bufpool.Get / bufpool.Put pair.
 func getBuf() *buf {
 	return pool.Get().(*buf)
 }

@@ -7,16 +7,37 @@
 //
 //	request frame:  uint64 request id | uint8 method | body...
 //	response frame: uint64 request id | uint8 status | body-or-error...
+//
+// Buffer ownership. Both read loops take the frame's length prefix and
+// the 9-byte rpc header into a small per-connection array and read the
+// body into a buffer of its own that starts at the body, so a body that
+// came from bufpool can be released by the slice alone:
+//
+//   - The server reads every request body into a bufpool buffer, lends it
+//     to the handler, and puts it back once the response is written (a
+//     result may alias the request). A handler that keeps request bytes
+//     past its return must copy them.
+//   - A handler's result is written and then forgotten, unless the
+//     handler declared it exclusively owned with ReleaseAfterWrite; then
+//     the server puts it back once the response is on the wire.
+//   - The client reads a response body into a bufpool buffer only for
+//     CallContextPooled, whose caller promises to own (and ideally
+//     release) it; other calls get an exact-size allocation, because a
+//     pooled buffer that is never released costs a whole size class.
 package rpc
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"ecstore/internal/bufpool"
 	"ecstore/internal/obs"
 	"ecstore/internal/wire"
 )
@@ -47,7 +68,9 @@ func (e *RemoteError) Error() string { return "rpc: remote error: " + e.Msg }
 // concurrent use; the server invokes handlers from multiple goroutines.
 // The context is canceled when the request's connection closes or the
 // server shuts down, so long-running handlers can abandon work whose
-// caller is gone.
+// caller is gone. body is lent to the handler: the result may alias it,
+// but the server recycles it once the response has been written, so
+// nothing else may keep a reference past Handle's return.
 type Handler interface {
 	Handle(ctx context.Context, method Method, body []byte) ([]byte, error)
 }
@@ -110,6 +133,53 @@ func (m *Metrics) connDelta(d int64) {
 		return
 	}
 	m.Conns.Add(d)
+}
+
+// headerSize is the fixed front of every frame: wire's uint32 length
+// prefix, then the uint64 request id and the method-or-status byte.
+const headerSize = 4 + 9
+
+// readHeader reads one frame's fixed front into hdr and returns the
+// request id, the method-or-status byte and how many body bytes follow
+// on r. hdr is the caller's per-connection scratch. The length prefix is
+// validated before the rest of the header is waited for: a frame too
+// short to carry an rpc header is malformed, not incomplete.
+func readHeader(r io.Reader, hdr *[headerSize]byte) (id uint64, tag uint8, bodyLen int, err error) {
+	got, err := io.ReadAtLeast(r, hdr[:], 4)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	n := binary.BigEndian.Uint32(hdr[:4])
+	if n > wire.MaxFrameSize {
+		return 0, 0, 0, fmt.Errorf("%w: %d bytes", wire.ErrFrameTooLarge, n)
+	}
+	if n < headerSize-4 {
+		return 0, 0, 0, ErrShortFrame
+	}
+	if _, err := io.ReadFull(r, hdr[got:]); err != nil {
+		return 0, 0, 0, fmt.Errorf("read frame header: %w", err)
+	}
+	return binary.BigEndian.Uint64(hdr[4:12]), hdr[12], int(n) - (headerSize - 4), nil
+}
+
+// request is the server's per-request state, reachable from the
+// handler's context.
+type request struct {
+	release []byte // set by ReleaseAfterWrite
+}
+
+type requestKey struct{}
+
+// ReleaseAfterWrite declares that buf — the result the handler is about
+// to return — came from bufpool and is exclusively the handler's: the
+// server puts it back once the response has been written. Only a
+// handler knows that; a result that is shared (a cached block) must
+// never be declared. Under a context that is not a server's request
+// context it does nothing and buf is left to the garbage collector.
+func ReleaseAfterWrite(ctx context.Context, buf []byte) {
+	if req, ok := ctx.Value(requestKey{}).(*request); ok {
+		req.release = buf
+	}
 }
 
 // Server accepts connections and serves requests against a Handler.
@@ -218,24 +288,25 @@ func (s *Server) serveConn(conn net.Conn) {
 	// handlers observe the cancellation instead of being waited on.
 	defer cancel()
 
+	var hdr [headerSize]byte
 	for {
-		frame, err := wire.ReadFrame(conn)
+		reqID, tag, n, err := readHeader(conn, &hdr)
 		if err != nil {
+			return // closed, or a malformed peer; drop the connection
+		}
+		method := Method(tag)
+		body := bufpool.Get(n)
+		if _, err := io.ReadFull(conn, body); err != nil {
+			bufpool.Put(body)
 			return
 		}
-		if len(frame) < 9 {
-			return // malformed peer; drop the connection
-		}
-		d := wire.NewDecoder(frame)
-		reqID := d.Uint64()
-		method := Method(d.Uint8())
-		body := frame[9:]
 
 		handlers.Add(1)
 		go func() {
 			defer handlers.Done()
 			start := time.Now()
-			result, herr := s.handler.Handle(ctx, method, body)
+			req := new(request)
+			result, herr := s.handler.Handle(context.WithValue(ctx, requestKey{}, req), method, body)
 			s.metrics.observe(start, herr)
 			// The response header rides a pooled encoder and the handler's
 			// result goes out as the frame's vectored payload, so chunk-sized
@@ -253,6 +324,9 @@ func (s *Server) serveConn(conn net.Conn) {
 			_ = wire.WriteFrameBuffers(conn, e.Bytes(), result)
 			writeMu.Unlock()
 			wire.PutEncoder(e)
+			// Only now, because the result may alias the request body.
+			bufpool.Put(body)
+			bufpool.Put(req.release)
 		}()
 	}
 }
@@ -268,11 +342,48 @@ type Client struct {
 
 	mu      sync.Mutex
 	nextID  uint64
-	pending map[uint64]chan response
+	pending map[uint64]*pendingCall
 	closed  bool
 	readErr error
 
 	done chan struct{}
+}
+
+// pendingCall is one issued request awaiting its response.
+type pendingCall struct {
+	ch chan response // buffered for the one response
+	// pooled asks the read loop for a bufpool response body.
+	pooled bool
+	// abandoned is set by a caller that stopped waiting. The read loop
+	// may already have claimed the call and be reading its body, so both
+	// sides look for the response once they know: whichever finds it in
+	// ch releases its pooled body.
+	abandoned atomic.Bool
+}
+
+// deliver hands the call its response.
+func (p *pendingCall) deliver(r response) {
+	p.ch <- r
+	if p.abandoned.Load() {
+		p.discard()
+	}
+}
+
+// abandon is the caller walking away from a response that may still
+// arrive.
+func (p *pendingCall) abandon() {
+	p.abandoned.Store(true)
+	p.discard()
+}
+
+func (p *pendingCall) discard() {
+	select {
+	case r := <-p.ch:
+		if p.pooled {
+			bufpool.Put(r.body)
+		}
+	default:
+	}
 }
 
 type response struct {
@@ -284,7 +395,7 @@ type response struct {
 func NewClient(conn net.Conn) *Client {
 	c := &Client{
 		conn:    conn,
-		pending: make(map[uint64]chan response),
+		pending: make(map[uint64]*pendingCall),
 		done:    make(chan struct{}),
 	}
 	go c.readLoop()
@@ -332,12 +443,23 @@ func (c *Client) CallContext(ctx context.Context, method Method, body []byte) ([
 // must stay immutable until then — it may be mid-write on the socket.
 func (c *Client) CallContextPayload(ctx context.Context, method Method, body, payload []byte) ([]byte, error) {
 	start := time.Now()
-	resp, err := c.call(ctx, method, body, payload)
+	resp, err := c.call(ctx, method, body, payload, false)
 	c.metrics.observe(start, err)
 	return resp, err
 }
 
-func (c *Client) call(ctx context.Context, method Method, body, payload []byte) ([]byte, error) {
+// CallContextPooled is CallContext for callers that consume the response
+// and are done with it: the body is read into a bufpool buffer, which
+// the caller owns exclusively and should bufpool.Put when finished.
+// Bulk reads whose bytes live for one hop (chunk fetches) use it.
+func (c *Client) CallContextPooled(ctx context.Context, method Method, body []byte) ([]byte, error) {
+	start := time.Now()
+	resp, err := c.call(ctx, method, body, nil, true)
+	c.metrics.observe(start, err)
+	return resp, err
+}
+
+func (c *Client) call(ctx context.Context, method Method, body, payload []byte, pooled bool) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -352,8 +474,8 @@ func (c *Client) call(ctx context.Context, method Method, body, payload []byte) 
 	}
 	c.nextID++
 	id := c.nextID
-	ch := make(chan response, 1)
-	c.pending[id] = ch
+	call := &pendingCall{ch: make(chan response, 1), pooled: pooled}
+	c.pending[id] = call
 	c.mu.Unlock()
 
 	// Request header and body ride a pooled encoder; payload (chunk
@@ -375,7 +497,7 @@ func (c *Client) call(ctx context.Context, method Method, body, payload []byte) 
 	}
 
 	select {
-	case resp := <-ch:
+	case resp := <-call.ch:
 		return resp.body, resp.err
 	case <-ctx.Done():
 		// Abandon the call: drop the pending entry so the read loop
@@ -383,44 +505,63 @@ func (c *Client) call(ctx context.Context, method Method, body, payload []byte) 
 		c.mu.Lock()
 		delete(c.pending, id)
 		c.mu.Unlock()
+		call.abandon()
 		return nil, ctx.Err()
 	}
 }
 
 // readLoop dispatches responses to waiting callers until the connection
-// fails or the client closes.
+// fails or the client closes. The header names the call before its body
+// is read, so the body lands directly in the kind of buffer that call
+// asked for, and a stale response is drained without buffering it.
 func (c *Client) readLoop() {
 	defer close(c.done)
+	var hdr [headerSize]byte
 	for {
-		frame, err := wire.ReadFrame(c.conn)
+		id, status, n, err := readHeader(c.conn, &hdr)
 		if err != nil {
 			c.failAll(err)
 			return
 		}
-		if len(frame) < 9 {
-			c.failAll(ErrShortFrame)
-			return
-		}
-		d := wire.NewDecoder(frame)
-		id := d.Uint64()
-		status := d.Uint8()
-		body := frame[9:]
 
 		c.mu.Lock()
-		ch, ok := c.pending[id]
+		call, ok := c.pending[id]
 		if ok {
 			delete(c.pending, id)
 		}
 		c.mu.Unlock()
 		if !ok {
-			continue // stale response for an abandoned request
+			// Stale response for an abandoned request.
+			if _, err := io.CopyN(io.Discard, c.conn, int64(n)); err != nil {
+				c.failAll(err)
+				return
+			}
+			continue
+		}
+		var body []byte
+		if call.pooled {
+			body = bufpool.Get(n)
+		} else {
+			body = make([]byte, n)
+		}
+		if _, err := io.ReadFull(c.conn, body); err != nil {
+			err = fmt.Errorf("read frame body: %w", err)
+			if call.pooled {
+				bufpool.Put(body)
+			}
+			call.deliver(response{err: fmt.Errorf("rpc: connection failed: %w", err)})
+			c.failAll(err)
+			return
 		}
 		if status == statusOK {
-			ch <- response{body: body}
-		} else {
-			msg := wire.NewDecoder(body).String()
-			ch <- response{err: &RemoteError{Msg: msg}}
+			call.deliver(response{body: body})
+			continue
 		}
+		msg := wire.NewDecoder(body).String()
+		if call.pooled {
+			bufpool.Put(body)
+		}
+		call.deliver(response{err: &RemoteError{Msg: msg}})
 	}
 }
 
@@ -437,9 +578,9 @@ func (c *Client) failAll(err error) {
 		c.readErr = err
 	}
 	pending := c.pending
-	c.pending = make(map[uint64]chan response)
+	c.pending = make(map[uint64]*pendingCall)
 	c.mu.Unlock()
-	for _, ch := range pending {
-		ch <- response{err: fmt.Errorf("rpc: connection failed: %w", err)}
+	for _, call := range pending {
+		call.deliver(response{err: fmt.Errorf("rpc: connection failed: %w", err)})
 	}
 }

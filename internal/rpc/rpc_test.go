@@ -257,10 +257,10 @@ func TestServerRejectsMalformedFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A frame shorter than the 9-byte header: server drops the conn.
-	if err := wire.WriteFrame(conn, []byte{1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
+	// A frame shorter than the 9-byte header: server drops the conn as
+	// soon as it has seen the length prefix, so the body write may
+	// already find the pipe closed.
+	_ = wire.WriteFrame(conn, []byte{1, 2, 3})
 	// The connection should be closed by the server; a subsequent read
 	// returns an error.
 	if _, err := wire.ReadFrame(conn); err == nil {

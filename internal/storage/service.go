@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"ecstore/internal/bufpool"
 	"ecstore/internal/model"
 	"ecstore/internal/obs"
 	"ecstore/internal/rpc"
@@ -198,6 +199,7 @@ func (s *Service) PutChunk(ctx context.Context, ref model.ChunkRef, data []byte)
 // GetChunk reads a chunk, applying the configured media throttle and
 // accounting the read for load reports. The throttle respects the
 // caller's context, so an abandoned read stops occupying the medium.
+// The returned buffer is the caller's (see SiteAPI).
 func (s *Service) GetChunk(ctx context.Context, ref model.ChunkRef) ([]byte, error) {
 	if err := s.checkUp(ctx); err != nil {
 		s.obs.errors.Inc()
@@ -214,6 +216,7 @@ func (s *Service) GetChunk(ctx context.Context, ref model.ChunkRef) ([]byte, err
 	}
 	if err := s.sleep(ctx, s.cfg.ReadDelayFixed+time.Duration(len(data))*s.cfg.ReadDelayPerByte); err != nil {
 		s.obs.errors.Inc()
+		bufpool.Put(data)
 		return nil, err
 	}
 	elapsed := s.cfg.Clock().Sub(start)
@@ -249,6 +252,7 @@ func (s *Service) GetChunkRange(ctx context.Context, ref model.ChunkRef, off, n 
 	}
 	if err := s.sleep(ctx, s.cfg.ReadDelayFixed+time.Duration(len(data))*s.cfg.ReadDelayPerByte); err != nil {
 		s.obs.errors.Inc()
+		bufpool.Put(data)
 		return nil, err
 	}
 	elapsed := s.cfg.Clock().Sub(start)
@@ -469,8 +473,8 @@ func (s *Server) Handle(ctx context.Context, method rpc.Method, body []byte) ([]
 	switch method {
 	case methodPutChunk:
 		// The chunk is the request's raw trailing payload: Rest aliases
-		// the request frame (no copy), and the store's Put contract is to
-		// copy on ingest, so the frame buffer is not retained.
+		// the request frame (no copy), which the rpc server recycles when
+		// this returns; the store's Put contract is to copy on ingest.
 		ref := decodeRef(d)
 		if err := d.Err(); err != nil {
 			return nil, err
@@ -484,7 +488,8 @@ func (s *Server) Handle(ctx context.Context, method rpc.Method, body []byte) ([]
 		}
 		// The chunk is the whole response body; the rpc server writes it
 		// as a vectored payload without an intermediate encoder copy.
-		return s.svc.GetChunk(ctx, ref)
+		data, err := s.svc.GetChunk(ctx, ref)
+		return ownedResult(ctx, data, err)
 
 	case methodDeleteChunk:
 		ref := decodeRef(d)
@@ -521,7 +526,8 @@ func (s *Server) Handle(ctx context.Context, method rpc.Method, body []byte) ([]
 		if err := d.Err(); err != nil {
 			return nil, err
 		}
-		return s.svc.GetChunkRange(ctx, ref, int64(off), int64(n))
+		data, err := s.svc.GetChunkRange(ctx, ref, int64(off), int64(n))
+		return ownedResult(ctx, data, err)
 
 	case methodPutChunkStream:
 		// Request: ref | off u64 | segment as the raw trailing payload.
@@ -584,6 +590,17 @@ func (s *Server) Handle(ctx context.Context, method rpc.Method, body []byte) ([]
 	}
 }
 
+// ownedResult returns a chunk read's result after telling the rpc
+// server that the chunk buffer is this handler's alone — the service
+// just read it off the store for this one request — so it goes back to
+// bufpool once the response is written.
+func ownedResult(ctx context.Context, data []byte, err error) ([]byte, error) {
+	if err == nil {
+		rpc.ReleaseAfterWrite(ctx, data)
+	}
+	return data, err
+}
+
 // Client is the RPC-backed view of one remote storage service.
 type Client struct {
 	rc *rpc.Client
@@ -603,26 +620,25 @@ func (c *Client) PutChunk(ctx context.Context, ref model.ChunkRef, data []byte) 
 	return err
 }
 
-// GetChunk reads a chunk remotely. The response body is the chunk; it is
-// returned as-is, aliasing the client's private per-response frame
-// buffer, so the caller owns it without a copy.
+// GetChunk reads a chunk remotely. The response body is the chunk: it
+// was read straight into a bufpool buffer that is returned as-is, so the
+// caller owns it without a copy and can release it by the slice alone.
 func (c *Client) GetChunk(ctx context.Context, ref model.ChunkRef) ([]byte, error) {
 	e := wire.GetEncoder()
 	encodeRef(e, ref)
-	resp, err := c.rc.CallContext(ctx, methodGetChunk, e.Bytes())
+	resp, err := c.rc.CallContextPooled(ctx, methodGetChunk, e.Bytes())
 	wire.PutEncoder(e)
 	return resp, err
 }
 
 // GetChunkRange reads a chunk segment remotely. Like GetChunk, the
-// response body is the segment itself and aliases the client's private
-// per-response frame buffer.
+// response body is the segment itself in a caller-owned bufpool buffer.
 func (c *Client) GetChunkRange(ctx context.Context, ref model.ChunkRef, off, n int64) ([]byte, error) {
 	e := wire.GetEncoder()
 	encodeRef(e, ref)
 	e.Uint64(uint64(off))
 	e.Uint32(uint32(n))
-	resp, err := c.rc.CallContext(ctx, methodGetChunkRange, e.Bytes())
+	resp, err := c.rc.CallContextPooled(ctx, methodGetChunkRange, e.Bytes())
 	wire.PutEncoder(e)
 	return resp, err
 }
@@ -730,6 +746,12 @@ func (c *Client) LoadReport(ctx context.Context) (stats.SiteLoad, error) {
 // RPC Client so the client service and repair service work in both modes.
 // Every method takes a context so callers can bound and cancel site
 // operations (per-chunk deadlines, hedged reads, parallel probes).
+//
+// Buffers: PutChunk and PutChunkStream borrow data until they return.
+// GetChunk and GetChunkRange return a buffer the caller owns exclusively;
+// it comes from bufpool, so a caller that is done with it may
+// bufpool.Put it (the read path does, after decode) and one that keeps
+// it or forgets it leaves it to the garbage collector.
 type SiteAPI interface {
 	PutChunk(ctx context.Context, ref model.ChunkRef, data []byte) error
 	GetChunk(ctx context.Context, ref model.ChunkRef) ([]byte, error)

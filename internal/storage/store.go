@@ -4,10 +4,14 @@
 //
 // Invariants the rest of the system depends on:
 //
-//   - Copy on ingest. Store.Put and Store.PutAt must copy their input:
-//     callers routinely hand in pooled stripe buffers (erasure package)
-//     or RPC frame tails (wire.Decoder.Rest) that are recycled the
-//     moment the call returns.
+//   - Copy on ingest, own on egress. Store.Put and Store.PutAt must
+//     copy their input: callers routinely hand in pooled stripe buffers
+//     (erasure package) or RPC frame tails (wire.Decoder.Rest) that are
+//     recycled the moment the call returns. Store.Get and Store.GetAt
+//     return a fresh bufpool buffer that belongs to the caller alone —
+//     the service hands it up unchanged, and whoever ends up consuming
+//     the chunk (the rpc server after writing it, the client after
+//     decoding it) puts it back.
 //
 //   - Raw-payload RPC contract. Chunk bodies and chunk segments never
 //     pass through an encoder buffer: requests carry them as the
@@ -41,6 +45,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"ecstore/internal/bufpool"
 	"ecstore/internal/model"
 )
 
@@ -56,11 +61,12 @@ var (
 type Store interface {
 	// Put stores a chunk, overwriting any previous contents.
 	Put(ref model.ChunkRef, data []byte) error
-	// Get returns a copy of a chunk's contents.
+	// Get returns a chunk's contents in a bufpool buffer the caller
+	// owns.
 	Get(ref model.ChunkRef) ([]byte, error)
-	// GetAt returns a copy of the chunk bytes [off, off+n). A range
-	// past the stored length fails with ErrShortChunk; a missing chunk
-	// with ErrChunkNotFound.
+	// GetAt returns the chunk bytes [off, off+n), likewise in a
+	// caller-owned bufpool buffer. A range past the stored length fails
+	// with ErrShortChunk; a missing chunk with ErrChunkNotFound.
 	GetAt(ref model.ChunkRef, off, n int64) ([]byte, error)
 	// PutAt writes data at byte offset off, creating the chunk if
 	// needed and zero-filling any gap below off. Used by the streaming
@@ -132,7 +138,7 @@ func (s *MemStore) Get(ref model.ChunkRef) ([]byte, error) {
 		return nil, err
 	}
 	payload, _ := payloadOf(raw)
-	cp := make([]byte, len(payload))
+	cp := bufpool.Get(len(payload))
 	copy(cp, payload)
 	return cp, nil
 }
@@ -164,7 +170,7 @@ func (s *MemStore) GetAt(ref model.ChunkRef, off, n int64) ([]byte, error) {
 			return nil, err
 		}
 	}
-	cp := make([]byte, n)
+	cp := bufpool.Get(int(n))
 	copy(cp, payload[off:off+n])
 	return cp, nil
 }
@@ -311,10 +317,15 @@ func NewDiskStore(dir string) (*DiskStore, error) {
 	return &DiskStore{dir: dir}, nil
 }
 
+// filePrefix is what the names of all of a block's chunk files start
+// with; the chunk index follows. Path separators in block ids are
+// escaped.
+func filePrefix(id model.BlockID) string {
+	return strings.ReplaceAll(string(id), "/", "_") + "."
+}
+
 func (s *DiskStore) path(ref model.ChunkRef) string {
-	// Escape path separators in block ids.
-	name := strings.ReplaceAll(string(ref.Block), "/", "_") + "." + strconv.Itoa(ref.Chunk)
-	return filepath.Join(s.dir, name)
+	return filepath.Join(s.dir, filePrefix(ref.Block)+strconv.Itoa(ref.Chunk))
 }
 
 // tmpSeq makes each Put's staging file name unique process-wide.
@@ -325,15 +336,20 @@ var tmpSeq atomic.Uint64
 // staging path — syncs it to stable storage, then renames it into place
 // so readers only ever observe complete chunk contents. The staging
 // file is removed on any error. The file lands sealed: header first,
-// CRC computed before any byte reaches the disk.
+// CRC computed before any byte reaches the disk. Header and payload are
+// written separately, so the chunk is never copied into a framed buffer.
 func (s *DiskStore) Put(ref model.ChunkRef, data []byte) error {
-	frame := sealFrame(data)
+	var hdr [headerSize]byte
+	writeHeader(hdr[:], flagSealed, uint64(len(data)), Checksum(data))
 	tmp := fmt.Sprintf("%s.%d.%d.tmp", s.path(ref), os.Getpid(), tmpSeq.Add(1))
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return fmt.Errorf("write chunk: %w", err)
 	}
-	if _, err := f.Write(frame); err != nil {
+	if _, err := f.Write(hdr[:]); err == nil {
+		_, err = f.Write(data)
+	}
+	if err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return fmt.Errorf("write chunk: %w", err)
@@ -356,18 +372,7 @@ func (s *DiskStore) Put(ref model.ChunkRef, data []byte) error {
 
 // Get implements Store. Sealed chunks are CRC-verified on every read.
 func (s *DiskStore) Get(ref model.ChunkRef) ([]byte, error) {
-	raw, err := os.ReadFile(s.path(ref))
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil, fmt.Errorf("%w: %s", ErrChunkNotFound, ref)
-		}
-		return nil, fmt.Errorf("read chunk: %w", err)
-	}
-	if _, err := checkFrame(ref, raw); err != nil {
-		return nil, err
-	}
-	payload, _ := payloadOf(raw)
-	return payload, nil
+	return s.read(ref, 0, -1)
 }
 
 // GetAt implements Store. The window is in payload coordinates, and only
@@ -381,28 +386,34 @@ func (s *DiskStore) GetAt(ref model.ChunkRef, off, n int64) ([]byte, error) {
 	if off < 0 || n < 0 {
 		return nil, fmt.Errorf("%w: [%d, %d)", ErrShortChunk, off, off+n)
 	}
+	return s.read(ref, off, n)
+}
+
+// read serves Get (n < 0: the whole payload) and GetAt. The 24-byte
+// header is read on its own and the payload window goes straight into a
+// bufpool buffer sized for it, which the caller owns.
+func (s *DiskStore) read(ref model.ChunkRef, off, n int64) ([]byte, error) {
 	f, err := os.Open(s.path(ref))
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
 			return nil, fmt.Errorf("%w: %s", ErrChunkNotFound, ref)
 		}
-		return nil, fmt.Errorf("read chunk range: %w", err)
+		return nil, fmt.Errorf("read chunk: %w", err)
 	}
 	defer func() { _ = f.Close() }()
 	st, err := f.Stat()
 	if err != nil {
-		return nil, fmt.Errorf("read chunk range: %w", err)
+		return nil, fmt.Errorf("read chunk: %w", err)
 	}
 	payOff := int64(0)
 	paySize := st.Size()
-	var info frameInfo
-	info.legacy = true
+	info := frameInfo{legacy: true}
 	if st.Size() >= headerSize {
-		hdr := make([]byte, headerSize)
-		if _, err := f.ReadAt(hdr, 0); err != nil {
+		var hdr [headerSize]byte
+		if _, err := f.ReadAt(hdr[:], 0); err != nil {
 			return nil, fmt.Errorf("read chunk header: %w", err)
 		}
-		info = parseHeader(hdr)
+		info = parseHeader(hdr[:])
 		if !info.legacy {
 			payOff = headerSize
 			paySize = st.Size() - headerSize
@@ -412,18 +423,23 @@ func (s *DiskStore) GetAt(ref model.ChunkRef, off, n int64) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %s length %d, stored %d bytes",
 			ErrCorruptChunk, ref, info.length, paySize)
 	}
+	if n < 0 {
+		n = paySize
+	}
 	if off+n > paySize {
 		return nil, fmt.Errorf("%w: %s [%d, %d) of %d", ErrShortChunk, ref, off, off+n, paySize)
 	}
-	buf := make([]byte, n)
+	buf := bufpool.Get(int(n))
 	if _, err := f.ReadAt(buf, payOff+off); err != nil {
+		bufpool.Put(buf)
 		if errors.Is(err, io.EOF) {
 			return nil, fmt.Errorf("%w: %s [%d, %d)", ErrShortChunk, ref, off, off+n)
 		}
-		return nil, fmt.Errorf("read chunk range: %w", err)
+		return nil, fmt.Errorf("read chunk: %w", err)
 	}
 	if info.sealed && off == 0 && n == paySize {
 		if got := Checksum(buf); got != info.crc {
+			bufpool.Put(buf)
 			return nil, fmt.Errorf("%w: %s crc %08x, want %08x", ErrCorruptChunk, ref, got, info.crc)
 		}
 	}
@@ -492,17 +508,33 @@ func (s *DiskStore) Delete(ref model.ChunkRef) error {
 	return nil
 }
 
-// DeleteBlock implements Store.
+// DeleteBlock implements Store. It removes the files named
+// `<block>.<chunk>` and nothing else: the directory's names are scanned
+// once, without the sort and per-file parsing List does for every other
+// block's chunks.
 func (s *DiskStore) DeleteBlock(id model.BlockID) error {
-	refs, err := s.List()
+	d, err := os.Open(s.dir)
 	if err != nil {
-		return err
+		return fmt.Errorf("delete block: %w", err)
 	}
-	for _, ref := range refs {
-		if ref.Block == id {
-			if err := s.Delete(ref); err != nil {
-				return err
-			}
+	names, err := d.Readdirnames(-1)
+	_ = d.Close()
+	if err != nil {
+		return fmt.Errorf("delete block: %w", err)
+	}
+	prefix := filePrefix(id)
+	for _, name := range names {
+		if !strings.HasPrefix(name, prefix) {
+			continue
+		}
+		// The rest must be exactly a chunk index: "a.1.0" is chunk 0 of
+		// block "a.1", not a chunk of block "a", and staging files end
+		// in ".tmp".
+		if _, err := strconv.Atoi(name[len(prefix):]); err != nil {
+			continue
+		}
+		if err := os.Remove(filepath.Join(s.dir, name)); err != nil && !errors.Is(err, os.ErrNotExist) {
+			return fmt.Errorf("delete chunk: %w", err)
 		}
 	}
 	return nil

@@ -5,7 +5,8 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
+
+	"ecstore/internal/bufpool"
 )
 
 // Zero-copy framing: chunk payloads never pass through an encoder
@@ -27,25 +28,14 @@ const coalesceLimit = 4 << 10
 // never pins chunk-sized memory.
 const maxPooledEncoder = 64 << 10
 
+// encoderPool recycles Encoder structs, which bufpool's plain byte
+// buffers cannot replace; its misses are reported through bufpool's
+// hook so buffer_pool_miss_total covers every data-path pool.
 var encoderPool = sync.Pool{
 	New: func() any {
-		onPoolMiss()
+		bufpool.NoteMiss()
 		return &Encoder{buf: make([]byte, 0, 512)}
 	},
-}
-
-// poolMiss, when set via SetPoolMiss, observes encoder-pool misses.
-var poolMiss atomic.Value // func()
-
-// SetPoolMiss installs fn to be called on every encoder-pool miss; the
-// core client wires it to the buffer_pool_miss_total counter. fn must
-// be safe for concurrent use.
-func SetPoolMiss(fn func()) { poolMiss.Store(fn) }
-
-func onPoolMiss() {
-	if fn, ok := poolMiss.Load().(func()); ok && fn != nil {
-		fn()
-	}
 }
 
 // GetEncoder returns an empty pooled encoder. Release it with

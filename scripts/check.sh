@@ -3,7 +3,9 @@
 # (internal/lint: context, locking, goroutine-leak, determinism, error
 # wrapping, metric naming, lock-order and pool-balance rules), run the
 # quick test suite under the
-# race detector, then smoke-run the fault-tolerance example end to end
+# race detector (the buffer-owning packages again in full, with bufpool's
+# poison hook on), run the read path's hit and miss benchmarks once,
+# then smoke-run the fault-tolerance example end to end
 # (degraded reads, repair, recovery), the scrubbing example (injected
 # bit rot -> nonzero scrub_corrupt_detected), and a cache on/off
 # comparison on a zipfian workload, asserting the decoded-block cache
@@ -25,7 +27,8 @@ go vet ./...
 go build ./...
 go run ./cmd/ecstore-lint ./...
 go test -race -short ./...
-go test -race ./internal/cache ./internal/core
+go test -race ./internal/bufpool ./internal/cache ./internal/core ./internal/rpc ./internal/storage
+go test -run TestNone -bench ReadPath -benchtime 1x -benchmem ./internal/core
 go run ./examples/faulttolerance
 scrub=$(go run ./examples/scrubbing)
 echo "$scrub"
