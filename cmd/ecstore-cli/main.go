@@ -356,10 +356,10 @@ func clusterStats(w io.Writer, client *core.Client, reg *obs.Registry, meta *met
 				fmt.Fprintf(w, "mover: moves=%d failures=%d\n",
 					snap.CounterValue("mover_moves_total", ""),
 					snap.CounterValue("mover_move_failures_total", ""))
-				fmt.Fprintf(w, "repair: checks=%d repaired=%d gc=%d failed sites=%d\n",
+				fmt.Fprintf(w, "repair: checks=%d repaired=%d errors=%d failed sites=%d\n",
 					snap.CounterValue("repair_checks_total", ""),
 					snap.CounterValue("repair_repaired_chunks_total", ""),
-					snap.CounterValue("repair_gc_collected_total", ""),
+					snap.CounterValue("repair_errors_total", ""),
 					snap.GaugeValue("repair_failed_sites"))
 				if full {
 					_ = snap.WriteText(w)

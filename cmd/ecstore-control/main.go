@@ -32,10 +32,10 @@ import (
 	"time"
 
 	"ecstore/internal/core"
+	"ecstore/internal/health"
 	"ecstore/internal/metadata"
 	"ecstore/internal/model"
 	"ecstore/internal/obs"
-	"ecstore/internal/repair"
 	"ecstore/internal/rpc"
 	"ecstore/internal/stats"
 	"ecstore/internal/storage"
@@ -260,25 +260,22 @@ func runDaemon(args []string) error {
 		Metrics:     reg,
 	})
 
+	// One breaker set for every background executor, fed by the stats
+	// source's probe round below (and by the repair sweep's own probes):
+	// destinations are restricted to sites whose breaker is closed.
+	tracker := health.NewTracker(health.Config{Metrics: reg})
+
 	var mover *core.MoverRunner
 	if *enableMover {
-		mover = core.NewMoverRunner(core.MoverRunnerConfig{
-			Interval: *moverInterval,
-			SiteInfo: meta.SiteInfos,
-			Metrics:  reg,
-		}, meta, sites, agg.CoAccess, agg.Loads, agg.Probes)
+		mover = core.NewMoverRunner(core.MoverRunnerConfig{Metrics: reg},
+			meta, sites, tracker, agg.CoAccess, agg.Loads, agg.Probes)
 	}
-	var repairSvc *repair.Service
+	var repairSvc *core.Repairer
 	if *enableRepair {
-		repairSvc = repair.NewService(repair.Config{
-			Grace:    *repairGrace,
-			SiteInfo: meta.SiteInfos,
-			Throttle: sched.Throttle,
-			Metrics:  reg,
-		}, meta, sites, agg.Loads)
+		repairSvc = core.NewRepairer(meta, sites, agg.Loads, tracker, *repairGrace, reg)
 	}
 	scrubber := core.NewScrubber(meta, sites, sched.Enqueue, reg)
-	drainer := core.NewDrainer(meta, sites, agg.Loads, nil, reg)
+	drainer := core.NewDrainer(meta, sites, agg.Loads, tracker, reg)
 	scrubEvery := time.Duration(0)
 	if *enableScrub {
 		scrubEvery = *scrubInterval
@@ -293,12 +290,17 @@ func runDaemon(args []string) error {
 		Drain:         drainer,
 		Stats: func(ctx context.Context) {
 			for id, api := range sites {
+				if !tracker.AllowProbe(id) {
+					continue // open breaker: known down until its backoff expires
+				}
 				pctx, pcancel := context.WithTimeout(ctx, 2*time.Second)
 				start := time.Now()
 				if err := api.Probe(pctx); err != nil {
+					tracker.ReportFailure(id)
 					pcancel()
 					continue
 				}
+				tracker.ReportSuccess(id)
 				agg.ObserveProbe(id, time.Since(start).Seconds())
 				if load, err := api.LoadReport(pctx); err == nil {
 					agg.ReportLoad(id, load)

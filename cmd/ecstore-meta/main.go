@@ -1,13 +1,12 @@
 // Command ecstore-meta runs the EC-Store metadata service (the control
-// plane's block catalog) over TCP, with optional persistence: either a
-// write-ahead-logged catalog (-wal-dir, crash-safe to the last group
-// commit) or legacy periodic snapshots (-snapshot).
+// plane's block catalog) over TCP. With -wal-dir the catalog is
+// write-ahead logged and crash-safe to the last group commit; without it
+// the catalog is volatile.
 //
 //	ecstore-meta -addr 127.0.0.1:7100 -sites 4 -wal-dir /var/lib/ecstore/meta
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -15,7 +14,6 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"ecstore/internal/metadata"
 	"ecstore/internal/model"
@@ -34,9 +32,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("ecstore-meta", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:7100", "listen address")
 	numSites := fs.Int("sites", 4, "number of storage sites (ids 1..n)")
-	snapshot := fs.String("snapshot", "", "legacy snapshot file for catalog persistence (empty = disabled; superseded by -wal-dir)")
-	snapshotEvery := fs.Duration("snapshot-interval", time.Minute, "periodic snapshot interval (legacy -snapshot mode)")
-	walDir := fs.String("wal-dir", "", "directory for the partitioned write-ahead log (empty = no WAL)")
+	walDir := fs.String("wal-dir", "", "directory for the partitioned write-ahead log (empty = volatile catalog)")
 	walPartitions := fs.Int("wal-partitions", metadata.DefaultPartitions, "catalog partition count (WAL mode; safe to change across restarts)")
 	walFsync := fs.Duration("wal-fsync-interval", 0, "group-commit window: 0 fsyncs every operation; >0 batches fsyncs and bounds loss on power failure to the window")
 	walCompact := fs.Int64("wal-compact-bytes", 8<<20, "per-partition WAL bytes between snapshot+truncate compactions")
@@ -47,11 +43,8 @@ func run(args []string) error {
 	if *numSites < 2 {
 		return fmt.Errorf("need at least 2 sites, got %d", *numSites)
 	}
-	if *walDir != "" && *snapshot != "" {
-		return fmt.Errorf("-wal-dir and -snapshot are mutually exclusive")
-	}
 
-	catalog, err := openCatalog(*numSites, *snapshot, *walDir, metadata.WALOptions{
+	catalog, err := openCatalog(*numSites, *walDir, metadata.WALOptions{
 		Partitions:    *walPartitions,
 		FsyncInterval: *walFsync,
 		CompactBytes:  *walCompact,
@@ -81,87 +74,36 @@ func run(args []string) error {
 	srv := rpc.NewServer(metadata.NewServer(catalog))
 	srv.SetMetrics(rpc.NewMetrics(reg, "rpc_server"))
 
-	if *walDir != "" {
-		// WAL mode: every acknowledged mutation is already durable (or
-		// within the group-commit window); shutdown just flushes and
-		// releases the logs.
-		serveErr := make(chan error, 1)
-		//lint:ignore goleak accept loop; srv.Close on signal makes Serve return into the buffered channel
-		go func() { serveErr <- srv.Serve(l) }()
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		select {
-		case <-sig:
-			_ = srv.Close()
-			<-serveErr
-			return catalog.Close()
-		case err := <-serveErr:
-			if closeErr := catalog.Close(); closeErr != nil {
-				log.Printf("wal close: %v", closeErr)
-			}
-			return err
-		}
-	}
-
-	if *snapshot == "" {
-		return srv.Serve(l)
-	}
-
-	// Legacy snapshot persistence: snapshot periodically and on
-	// SIGINT/SIGTERM.
+	// Every acknowledged mutation is already durable (or within the
+	// group-commit window) in WAL mode; shutdown just flushes and releases
+	// the logs. Close is a no-op for a volatile catalog.
 	serveErr := make(chan error, 1)
 	//lint:ignore goleak accept loop; srv.Close on signal makes Serve return into the buffered channel
 	go func() { serveErr <- srv.Serve(l) }()
-
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	ticker := time.NewTicker(*snapshotEvery)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ticker.C:
-			if err := catalog.SaveFile(*snapshot); err != nil {
-				log.Printf("snapshot: %v", err)
-			}
-		case <-sig:
-			_ = srv.Close()
-			<-serveErr
-			return catalog.SaveFile(*snapshot)
-		case err := <-serveErr:
-			if saveErr := catalog.SaveFile(*snapshot); saveErr != nil {
-				log.Printf("final snapshot: %v", saveErr)
-			}
-			return err
+	select {
+	case <-sig:
+		_ = srv.Close()
+		<-serveErr
+		return catalog.Close()
+	case err := <-serveErr:
+		if closeErr := catalog.Close(); closeErr != nil {
+			log.Printf("wal close: %v", closeErr)
 		}
+		return err
 	}
 }
 
-// openCatalog opens the WAL-backed catalog when walDir is set, loads the
-// legacy snapshot if one exists, and otherwise starts fresh.
-func openCatalog(numSites int, snapshot, walDir string, walOpts metadata.WALOptions) (*metadata.Catalog, error) {
+// openCatalog opens the WAL-backed catalog when walDir is set and
+// otherwise starts a fresh volatile one.
+func openCatalog(numSites int, walDir string, walOpts metadata.WALOptions) (*metadata.Catalog, error) {
 	ids := make([]model.SiteID, numSites)
 	for i := range ids {
 		ids[i] = model.SiteID(i + 1)
 	}
 	if walDir != "" {
 		return metadata.Open(walDir, ids, walOpts)
-	}
-	if snapshot != "" {
-		catalog, err := metadata.LoadFile(snapshot)
-		switch {
-		case err == nil:
-			// Snapshot site list wins, but new sites may be added.
-			for i := 1; i <= numSites; i++ {
-				if err := catalog.AddSite(model.SiteID(i)); err != nil {
-					return nil, err
-				}
-			}
-			return catalog, nil
-		case errors.Is(err, os.ErrNotExist):
-			// First boot.
-		default:
-			return nil, err
-		}
 	}
 	return metadata.NewCatalog(ids), nil
 }

@@ -69,56 +69,10 @@ func TestRunServesMetadataRPC(t *testing.T) {
 	}
 }
 
-func TestOpenCatalogPersistence(t *testing.T) {
-	dir := t.TempDir()
-	snap := dir + "/meta.snap"
-
-	// First boot: fresh catalog.
-	c1, err := openCatalog(4, snap, "", metadata.WALOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c1.Len() != 0 {
-		t.Fatalf("fresh catalog has %d blocks", c1.Len())
-	}
-	err = c1.Register(&model.BlockMeta{
-		ID: "persisted", Scheme: model.SchemeErasure, K: 2, R: 1,
-		Size: 10, ChunkSize: 5, Sites: []model.SiteID{1, 2, 3},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c1.SaveFile(snap); err != nil {
-		t.Fatal(err)
-	}
-
-	// Second boot with a larger site count: block survives, new sites
-	// are registered.
-	c2, err := openCatalog(6, snap, "", metadata.WALOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := c2.BlockMeta("persisted"); !ok {
-		t.Fatal("block lost across restart")
-	}
-	if got := len(c2.Sites()); got != 6 {
-		t.Fatalf("sites after growth = %d", got)
-	}
-
-	// No snapshot configured: always fresh.
-	c3, err := openCatalog(2, "", "", metadata.WALOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c3.Len() != 0 {
-		t.Fatal("in-memory catalog not fresh")
-	}
-}
-
 func TestOpenCatalogWAL(t *testing.T) {
 	dir := t.TempDir()
 
-	c1, err := openCatalog(4, "", dir, metadata.WALOptions{Partitions: 4})
+	c1, err := openCatalog(4, dir, metadata.WALOptions{Partitions: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +87,7 @@ func TestOpenCatalogWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c2, err := openCatalog(6, "", dir, metadata.WALOptions{Partitions: 4})
+	c2, err := openCatalog(6, dir, metadata.WALOptions{Partitions: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,10 +98,13 @@ func TestOpenCatalogWAL(t *testing.T) {
 	if got := len(c2.Sites()); got != 6 {
 		t.Fatalf("sites after growth = %d", got)
 	}
-}
 
-func TestRunRejectsConflictingPersistence(t *testing.T) {
-	if err := run([]string{"-snapshot", "/tmp/x.snap", "-wal-dir", "/tmp/wal"}); err == nil {
-		t.Fatal("conflicting -snapshot and -wal-dir accepted")
+	// No WAL directory configured: always a fresh, volatile catalog.
+	c3, err := openCatalog(2, "", metadata.WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c3.Len() != 0 {
+		t.Fatal("in-memory catalog not fresh")
 	}
 }

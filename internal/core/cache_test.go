@@ -139,7 +139,7 @@ func TestMovedBlockInvalidatesCacheEntry(t *testing.T) {
 		t.Fatal("no spare site to move to")
 	}
 	plan := model.MovePlan{Block: "blk", Chunk: 0, From: meta.Sites[0], To: spares[0]}
-	if err := c.Mover.Execute(ctx, plan); err != nil {
+	if err := c.Mover.Execute(unthrottled{ctx}, plan); err != nil {
 		t.Fatalf("move: %v", err)
 	}
 
@@ -212,7 +212,7 @@ func TestOverwrittenBlockNeverServedStale(t *testing.T) {
 }
 
 // TestGetMultiRacesWithMoverNoStaleBytes runs readers concurrently with
-// the chunk mover (both MoveOnce and a deterministic chunk bounce that
+// the chunk mover (both a selected plan and a deterministic chunk bounce that
 // guarantees version churn) and checks every successful read returns the
 // block's exact bytes. Run under -race this also proves the cache's
 // internal synchronization.
@@ -242,7 +242,9 @@ func TestGetMultiRacesWithMoverNoStaleBytes(t *testing.T) {
 			default:
 			}
 			// The paper's mover proper (may or may not find a plan)...
-			_, _ = c.Mover.MoveOnce(ctx)
+			if plan, ok := c.Mover.SelectPlan(); ok {
+				_ = c.Mover.Execute(unthrottled{ctx}, plan)
+			}
 			// ...plus a guaranteed move: bounce chunk 0 between spares.
 			m, ok := c.Catalog.BlockMeta("hot")
 			if !ok {
@@ -253,7 +255,7 @@ func TestGetMultiRacesWithMoverNoStaleBytes(t *testing.T) {
 				continue
 			}
 			plan := model.MovePlan{Block: "hot", Chunk: 0, From: m.Sites[0], To: to}
-			if err := c.Mover.Execute(ctx, plan); err == nil {
+			if err := c.Mover.Execute(unthrottled{ctx}, plan); err == nil {
 				moves.Add(1)
 			}
 		}

@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -1492,34 +1491,22 @@ func scaleRTT(rttSeconds, defaultO float64) float64 {
 	return rttSeconds / 0.001 * defaultO
 }
 
-// place selects destination sites for a new block's chunks. With a zone
-// view wired (Deps.Zones), draining and decommissioned sites take no new
-// chunks and zone caps apply; without one, all connected sites qualify.
+// place selects destination sites for a new block's chunks under the
+// shared eligibility rule. With a zone view wired (Deps.Zones), draining
+// and decommissioned sites take no new chunks and zone caps apply. The
+// breaker input is left at "all closed": one transient chunk error opens
+// a breaker for its whole backoff, and that must neither fail nor skew a
+// write the site would have taken — a Put to a truly dead site fails at
+// PutChunk and is rolled back.
 func (c *Client) place(chunks int) ([]model.SiteID, error) {
-	sites := c.siteIDs()
-	if c.zones == nil {
-		return c.placer.Place(sites, chunks)
+	var rule placement.Eligibility
+	if c.zones != nil {
+		rule.Infos = c.zones()
 	}
-	infos := c.zones()
-	eligible := make([]model.SiteID, 0, len(sites))
-	for _, s := range sites {
-		if info, ok := infos[s]; ok && info.State != model.SiteActive {
-			continue
-		}
-		eligible = append(eligible, s)
-	}
-	zone := func(s model.SiteID) string { return infos[s].Zone }
-	return c.placer.PlaceZoned(eligible, chunks, zone, model.MaxChunksPerZone(c.cfg.R))
+	return c.placer.Place(c.siteIDs(), chunks, rule.ForBlock(nil, -1, model.MaxChunksPerZone(c.cfg.R)))
 }
 
-func (c *Client) siteIDs() []model.SiteID {
-	out := make([]model.SiteID, 0, len(c.sites))
-	for id := range c.sites {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+func (c *Client) siteIDs() []model.SiteID { return sortedSiteIDs(c.sites) }
 
 // isSiteFailure classifies an error as a site-level failure (as opposed to
 // a missing chunk, which indicates stale metadata rather than an outage).

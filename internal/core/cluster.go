@@ -10,7 +10,6 @@ import (
 	"ecstore/internal/model"
 	"ecstore/internal/obs"
 	"ecstore/internal/placement"
-	"ecstore/internal/repair"
 	"ecstore/internal/stats"
 	"ecstore/internal/storage"
 	"ecstore/internal/tasks"
@@ -80,7 +79,7 @@ type Cluster struct {
 	Loads    *stats.LoadTracker
 	Probes   *stats.ProbeEstimator
 	Mover    *MoverRunner
-	Repair   *repair.Service
+	Repair   *Repairer
 	// Tasks is the unified background scheduler: repair, movement,
 	// scrubbing and drains all run as its task types.
 	Tasks *tasks.Scheduler
@@ -185,23 +184,13 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 
 	if cfg.EnableMover {
 		c.Mover = NewMoverRunner(MoverRunnerConfig{
-			Interval: cfg.MoverInterval,
 			DefaultO: cfg.Client.DefaultO,
 			DefaultM: cfg.Client.DefaultM,
-			Health:   tracker,
-			SiteInfo: catalog.SiteInfos,
 			Metrics:  cfg.Metrics,
-		}, catalog, apis, coaccess, loads, probes)
+		}, catalog, apis, tracker, coaccess, loads, probes)
 	}
 	if cfg.EnableRepair {
-		c.Repair = repair.NewService(repair.Config{
-			Grace:         cfg.RepairGrace,
-			ProbeInterval: cfg.RepairProbeInterval,
-			Health:        tracker,
-			SiteInfo:      catalog.SiteInfos,
-			Throttle:      c.Tasks.Throttle,
-			Metrics:       cfg.Metrics,
-		}, catalog, apis, loads)
+		c.Repair = NewRepairer(catalog, apis, loads, tracker, cfg.RepairGrace, cfg.Metrics)
 	}
 	c.Scrub = NewScrubber(catalog, apis, c.Tasks.Enqueue, cfg.Metrics)
 	c.drainer = NewDrainer(catalog, apis, loads, tracker, cfg.Metrics)

@@ -28,6 +28,12 @@ func newTestCluster(t testing.TB, cfg ClusterConfig) *Cluster {
 	return c
 }
 
+// unthrottled is the task context of a test that drives an executor's
+// steps directly, outside the scheduler: no byte budget applies.
+type unthrottled struct{ context.Context }
+
+func (unthrottled) Throttle(int64) error { return nil }
+
 func blockData(n int, seed byte) []byte {
 	d := make([]byte, n)
 	for i := range d {
@@ -311,7 +317,7 @@ func TestMoverExecuteStalePlan(t *testing.T) {
 	}
 	meta, _ := c.Catalog.BlockMeta("a")
 	stale := model.MovePlan{Block: "a", Chunk: 0, From: 99, To: 5} // wrong From
-	if err := c.Mover.Execute(context.Background(), stale); err == nil {
+	if err := c.Mover.Execute(unthrottled{context.Background()}, stale); err == nil {
 		t.Fatal("stale plan executed")
 	}
 	_ = meta

@@ -195,14 +195,15 @@ func TestHealthTrackerSharedAcrossComponents(t *testing.T) {
 		t.Fatal("client does not share the cluster health tracker")
 	}
 	c.Client.MarkFailed(2)
-	if c.Mover.env(context.Background()).Available(2) {
-		t.Fatal("mover plans onto a site whose breaker the client opened")
-	}
-	if c.Mover.env(context.Background()).Available(1) {
-		// Site 1 is healthy; the mover must still see it.
-		// (Available uses the shared tracker when Health is set.)
-	} else {
-		t.Fatal("mover rejects a healthy site")
+	meta := &model.BlockMeta{ID: "x", K: 2, R: 2, Sites: []model.SiteID{3, 4, model.NoSite, model.NoSite}}
+	for name, ops := range map[string]*relocator{"mover": c.Mover.ops, "repair": c.Repair.ops, "drain": c.drainer.ops} {
+		rule := ops.rule(meta, 0)
+		if rule.Allows(2) {
+			t.Fatalf("%s accepts a destination whose breaker the client opened", name)
+		}
+		if !rule.Allows(1) {
+			t.Fatalf("%s rejects a healthy site", name)
+		}
 	}
 }
 

@@ -1,11 +1,9 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"ecstore/internal/health"
 	"ecstore/internal/metadata"
@@ -14,59 +12,41 @@ import (
 	"ecstore/internal/placement"
 	"ecstore/internal/stats"
 	"ecstore/internal/storage"
+	"ecstore/internal/tasks"
 )
 
-// ErrNoBeneficialMove reports that the mover found no positive-score plan.
-var ErrNoBeneficialMove = errors.New("core: no beneficial movement plan")
-
-// ErrStalePlan reports that a movement plan no longer matches the
-// catalog: the chunk moved (or the block was deleted) after the plan was
-// selected. Task executors treat it as success — there is nothing left
-// to move.
+// ErrStalePlan reports that a movement plan no longer applies: the chunk
+// moved, the block was deleted, or the destination stopped being eligible
+// after the plan was selected. The move executor treats it as success —
+// there is nothing left to move.
 var ErrStalePlan = errors.New("core: movement plan is stale")
 
 // MoverRunnerConfig tunes the background chunk mover (Section V-B2).
 type MoverRunnerConfig struct {
 	// Mover parameterizes the movement strategy itself.
 	Mover placement.MoverConfig
-	// Interval is the pause between movement attempts: the paper
-	// throttles the mover to under one chunk per second. Zero means 1s.
-	// The unified scheduler uses it as the cadence of the move-planning
-	// source.
-	Interval time.Duration
 	// RequestRate is the observed client request rate fed to load-shift
 	// estimation; zero means 100 req/s.
 	RequestRate float64
 	// DefaultO and DefaultM seed the cost model.
 	DefaultO float64
 	DefaultM float64
-	// OpTimeout bounds each chunk read/write/delete and probe issued
-	// while executing a move. Zero means 30 seconds.
-	OpTimeout time.Duration
-	// Health optionally shares the per-site breaker set with the client
-	// and repair service: movement plans then avoid sites whose breaker
-	// is not closed instead of probing them. Nil probes directly.
-	Health *health.Tracker
-	// SiteInfo optionally supplies the drain-state view (catalog
-	// SiteInfos): draining and decommissioned sites are never movement
-	// destinations. Nil disables the check.
-	SiteInfo func() map[model.SiteID]model.SiteInfo
 	// Metrics optionally exports move counters into a shared registry.
 	// Nil disables it.
 	Metrics *obs.Registry
 }
 
 // MoverRunner is the background chunk mover: it asks the placement.Mover
-// for the highest-scoring movement plan, then executes it with the
-// copy -> CAS -> delete protocol so concurrent readers never lose access
-// to a chunk mid-move. It owns no goroutine — the unified scheduler in
-// internal/tasks drives planning as a periodic source and executes each
-// plan as a move-priority task (see taskplane.go).
+// for the highest-scoring movement plan, then executes it with the shared
+// engine's fetch -> commit -> delete-source steps so concurrent readers
+// never lose access to a chunk mid-move. It owns no goroutine — the
+// unified scheduler in internal/tasks drives planning as a periodic
+// source and executes each plan as a move-priority task (see
+// taskplane.go).
 type MoverRunner struct {
 	cfg    MoverRunnerConfig
+	ops    *relocator
 	mover  *placement.Mover
-	meta   metadata.Service
-	sites  map[model.SiteID]storage.SiteAPI
 	co     *stats.CoAccessTracker
 	loads  *stats.LoadTracker
 	probes *stats.ProbeEstimator
@@ -81,10 +61,7 @@ type MoverRunner struct {
 
 // NewMoverRunner wires a runner. All dependencies are required.
 func NewMoverRunner(cfg MoverRunnerConfig, meta metadata.Service, sites map[model.SiteID]storage.SiteAPI,
-	co *stats.CoAccessTracker, loads *stats.LoadTracker, probes *stats.ProbeEstimator) *MoverRunner {
-	if cfg.Interval == 0 {
-		cfg.Interval = time.Second
-	}
+	tracker *health.Tracker, co *stats.CoAccessTracker, loads *stats.LoadTracker, probes *stats.ProbeEstimator) *MoverRunner {
 	if cfg.RequestRate == 0 {
 		cfg.RequestRate = 100
 	}
@@ -94,14 +71,10 @@ func NewMoverRunner(cfg MoverRunnerConfig, meta metadata.Service, sites map[mode
 	if cfg.DefaultM == 0 {
 		cfg.DefaultM = 1.0 / (100 * 1024)
 	}
-	if cfg.OpTimeout == 0 {
-		cfg.OpTimeout = 30 * time.Second
-	}
 	r := &MoverRunner{
 		cfg:    cfg,
+		ops:    newRelocator(meta, sites, loads, tracker),
 		mover:  placement.NewMover(cfg.Mover),
-		meta:   meta,
-		sites:  sites,
 		co:     co,
 		loads:  loads,
 		probes: probes,
@@ -120,102 +93,68 @@ func (r *MoverRunner) Moves() (int64, int64) {
 	return r.moved, r.failed
 }
 
-// env snapshots the mover's inputs.
-func (r *MoverRunner) env(ctx context.Context) placement.MoverEnv {
-	catalog := catalogAdapter{meta: r.meta}
-	return placement.MoverEnv{
-		Catalog:     catalog,
+// SelectPlan asks the placement mover for the current highest-scoring
+// movement plan without executing it. The task plane's move-planning
+// source uses it to turn plans into durable move tasks. Destinations
+// pass the shared eligibility rule under the current zone, drain and
+// breaker view.
+func (r *MoverRunner) SelectPlan() (model.MovePlan, bool) {
+	return r.mover.SelectMovementPlan(placement.MoverEnv{
+		Catalog:     catalogAdapter{meta: r.ops.meta},
 		CoAccess:    r.co,
 		Loads:       r.loads,
 		Costs:       r.probes.Costs(r.cfg.DefaultO, r.cfg.DefaultM),
 		RequestRate: r.cfg.RequestRate,
-		Available: func(s model.SiteID) bool {
-			api := r.sites[s]
-			if api == nil {
-				return false
-			}
-			if r.cfg.SiteInfo != nil && r.cfg.SiteInfo()[s].State != model.SiteActive {
-				return false
-			}
-			if r.cfg.Health != nil {
-				return r.cfg.Health.Available(s)
-			}
-			probeCtx, cancel := context.WithTimeout(ctx, r.cfg.OpTimeout)
-			defer cancel()
-			return api.Probe(probeCtx) == nil
-		},
-	}
+		Available:   r.ops.health.Available,
+		Infos:       r.ops.meta.SiteInfos(),
+	})
 }
 
-// SelectPlan asks the placement mover for the current highest-scoring
-// movement plan without executing it. The task plane's move-planning
-// source uses it to turn plans into durable move tasks.
-func (r *MoverRunner) SelectPlan(ctx context.Context) (model.MovePlan, bool) {
-	return r.mover.SelectMovementPlan(r.env(ctx))
-}
-
-// ExecutePlanned runs one previously selected plan and records the
-// outcome in the move counters.
-func (r *MoverRunner) ExecutePlanned(ctx context.Context, plan model.MovePlan) error {
-	if err := r.Execute(ctx, plan); err != nil {
-		r.mu.Lock()
+// Run executes one move task and records the outcome in the move
+// counters. A stale plan is a finished task.
+//
+//lint:ignore ctxfirst tasks.Ctx embeds the task's context.Context
+func (r *MoverRunner) Run(tc *tasks.Ctx) error {
+	rec := tc.Record()
+	err := r.Execute(tc, model.MovePlan{Block: rec.Block, Chunk: rec.Chunk, From: rec.Site, To: rec.Dest})
+	r.mu.Lock()
+	if err != nil {
 		r.failed++
-		r.mu.Unlock()
-		r.moveFailsC.Inc()
+	} else {
+		r.moved++
+	}
+	r.mu.Unlock()
+	if err == nil {
+		r.movesC.Inc()
+		return nil
+	}
+	r.moveFailsC.Inc()
+	if errors.Is(err, ErrStalePlan) {
+		return nil
+	}
+	return err
+}
+
+// Execute relocates one planned chunk. The plan was scored against an
+// earlier catalog state, so it is re-validated first: the chunk must
+// still sit on plan.From and plan.To must still be eligible for it (a
+// repair or drain may since have put another chunk of the block there or
+// in its zone).
+//
+//lint:ignore ctxfirst taskCtx embeds the task's context.Context
+func (r *MoverRunner) Execute(tc taskCtx, plan model.MovePlan) error {
+	meta, err := r.ops.lookup(plan.Block)
+	if err != nil {
 		return err
 	}
-	r.mu.Lock()
-	r.moved++
-	r.mu.Unlock()
-	r.movesC.Inc()
-	return nil
-}
-
-// MoveOnce selects and executes one movement plan.
-func (r *MoverRunner) MoveOnce(ctx context.Context) (model.MovePlan, error) {
-	plan, ok := r.SelectPlan(ctx)
-	if !ok {
-		return model.MovePlan{}, ErrNoBeneficialMove
-	}
-	return plan, r.ExecutePlanned(ctx, plan)
-}
-
-// Execute performs the copy -> CAS -> delete protocol for one plan.
-func (r *MoverRunner) Execute(ctx context.Context, plan model.MovePlan) error {
-	metas, err := r.meta.Lookup([]model.BlockID{plan.Block})
-	if err != nil {
-		return fmt.Errorf("lookup %s: %w", plan.Block, err)
-	}
-	meta := metas[plan.Block]
-	if plan.Chunk < 0 || plan.Chunk >= len(meta.Sites) || meta.Sites[plan.Chunk] != plan.From {
+	if meta == nil || plan.Chunk < 0 || plan.Chunk >= len(meta.Sites) || meta.Sites[plan.Chunk] != plan.From {
 		return fmt.Errorf("%w for %s", ErrStalePlan, plan.Block)
 	}
-	src := r.sites[plan.From]
-	dst := r.sites[plan.To]
-	if src == nil || dst == nil {
-		return fmt.Errorf("%w: move %d -> %d", ErrNoSites, plan.From, plan.To)
+	if rule := r.ops.rule(meta, plan.Chunk); !rule.Allows(plan.To) || !rule.UnderCap(plan.To) {
+		return fmt.Errorf("%w for %s: site %d is no longer an eligible destination", ErrStalePlan, plan.Block, plan.To)
 	}
-
-	// Each step of copy -> CAS -> delete is bounded so a hung site fails
-	// the move instead of stalling the mover daemon.
-	ctx, cancel := context.WithTimeout(ctx, r.cfg.OpTimeout)
-	defer cancel()
-	ref := model.ChunkRef{Block: plan.Block, Chunk: plan.Chunk}
-	data, err := src.GetChunk(ctx, ref)
-	if err != nil {
-		return fmt.Errorf("read source chunk: %w", err)
-	}
-	if err := dst.PutChunk(ctx, ref, data); err != nil {
-		return fmt.Errorf("write destination chunk: %w", err)
-	}
-	if _, err := r.meta.UpdatePlacement(plan.Block, plan.Chunk, plan.To, meta.Version); err != nil {
-		// Roll back the copy; the move lost a race.
-		_ = dst.DeleteChunk(ctx, ref)
-		return fmt.Errorf("commit placement: %w", err)
-	}
-	// Old copy is unreachable once metadata points at the destination.
-	_ = src.DeleteChunk(ctx, ref)
-	return nil
+	_, err = r.ops.relocate(tc, meta, plan.Chunk, plan.To)
+	return err
 }
 
 // catalogAdapter exposes a metadata.Service as a placement.CatalogView.

@@ -287,7 +287,7 @@ func TestConcurrentReadersWritersAndMoverShareNoBuffers(t *testing.T) {
 		}
 	}()
 
-	mover := NewMoverRunner(MoverRunnerConfig{}, d.client.meta, d.client.sites,
+	mover := NewMoverRunner(MoverRunnerConfig{}, d.client.meta, d.client.sites, d.client.health,
 		stats.NewCoAccessTracker(0), stats.NewLoadTracker(), stats.NewProbeEstimator(0.3))
 	background.Add(1)
 	go func() { // mover: bounce chunk 0 of each stable block between its spare sites
@@ -305,7 +305,7 @@ func TestConcurrentReadersWritersAndMoverShareNoBuffers(t *testing.T) {
 				}
 				spares := spareSites(8, metas[id])
 				plan := model.MovePlan{Block: id, Chunk: 0, From: metas[id].Sites[0], To: spares[i%len(spares)]}
-				if err := mover.Execute(ctx, plan); err == nil {
+				if err := mover.Execute(unthrottled{ctx}, plan); err == nil {
 					moves.Add(1)
 				}
 			}

@@ -11,7 +11,6 @@ import (
 	"ecstore/internal/metadata"
 	"ecstore/internal/model"
 	"ecstore/internal/obs"
-	"ecstore/internal/repair"
 	"ecstore/internal/stats"
 	"ecstore/internal/storage"
 	"ecstore/internal/tasks"
@@ -19,10 +18,11 @@ import (
 
 // This file wires every background activity — repair, chunk movement,
 // scrubbing, drain/decommission — onto the unified scheduler in
-// internal/tasks. The repair service and mover own no goroutines anymore:
-// periodic sources turn their planning steps into durable task rows, and
-// executors registered here run them under the scheduler's concurrency
-// caps and shared byte throttle.
+// internal/tasks. No component owns a goroutine: periodic sources turn
+// their planning steps into durable task rows, and executors registered
+// here run them under the scheduler's concurrency caps and shared byte
+// throttle. Every executor that relocates a chunk does so through the
+// one engine in relocate.go.
 
 // Task ID builders. IDs are stable per target so a sweep firing twice
 // enqueues once (tasks.Scheduler.Enqueue dedupes against live rows).
@@ -135,8 +135,11 @@ func (s *Scrubber) Run(c *tasks.Ctx) error {
 	// hold are silent losses a read would only discover under failure.
 	for _, blockID := range s.meta.BlocksOnSite(site) {
 		metas, err := s.meta.Lookup([]model.BlockID{blockID})
-		if err != nil {
+		if metadata.IsNotFound(err) {
 			continue // block deleted mid-sweep
+		}
+		if err != nil {
+			return fmt.Errorf("scrub lookup %s: %w", blockID, err)
 		}
 		for chunk, placed := range metas[blockID].Sites {
 			ref := model.ChunkRef{Block: blockID, Chunk: chunk}
@@ -165,157 +168,78 @@ func (s *Scrubber) enqueueRepair(ref model.ChunkRef, site model.SiteID) {
 }
 
 // Drainer empties a site for decommissioning: the drain-site task marks
-// the site draining (no new chunks land on it from that point), migrates
-// every chunk it holds to active sites with the mover's copy -> CAS ->
-// delete protocol under the task throttle, and finally marks the site
-// decommissioned. The task is re-entrant: progress is the catalog's
-// placement state itself, so a resumed drain just continues with
-// whatever chunks remain.
+// the site draining (no new chunks land on it from that point), relocates
+// every chunk it holds to eligible sites with the shared engine, and
+// finally marks the site decommissioned. The task is re-entrant: progress
+// is the catalog's placement state itself, so a resumed drain just
+// continues with whatever chunks remain.
 type Drainer struct {
-	meta   metadata.Service
-	sites  map[model.SiteID]storage.SiteAPI
-	loads  *stats.LoadTracker
-	health *health.Tracker
-	obs    drainObs
-}
-
-type drainObs struct {
+	ops     *relocator
 	moved   *obs.Counter
 	drained *obs.Counter
 }
 
-func newDrainObs(reg *obs.Registry) drainObs {
-	if reg == nil {
-		return drainObs{}
-	}
-	return drainObs{
-		moved:   reg.Counter("drain_chunks_moved_total", "chunks migrated off draining sites"),
-		drained: reg.Counter("drain_sites_completed_total", "sites fully drained and decommissioned"),
-	}
-}
-
-// NewDrainer builds a drainer. loads and health may be nil.
+// NewDrainer builds a drainer. Every dependency but the metrics registry
+// is required.
 func NewDrainer(meta metadata.Service, sites map[model.SiteID]storage.SiteAPI,
 	loads *stats.LoadTracker, health *health.Tracker, reg *obs.Registry) *Drainer {
-	return &Drainer{meta: meta, sites: sites, loads: loads, health: health, obs: newDrainObs(reg)}
+	d := &Drainer{ops: newRelocator(meta, sites, loads, health)}
+	if reg != nil {
+		d.moved = reg.Counter("drain_chunks_moved_total", "chunks migrated off draining sites")
+		d.drained = reg.Counter("drain_sites_completed_total", "sites fully drained and decommissioned")
+	}
+	return d
 }
 
 // Run executes one drain-site task.
+//
+//lint:ignore ctxfirst tasks.Ctx embeds the task's context.Context
 func (d *Drainer) Run(c *tasks.Ctx) error {
 	site := c.Record().Site
-	src := d.sites[site]
-	if src == nil {
+	if d.ops.sites[site] == nil {
 		return fmt.Errorf("core: drain of unknown site %d", site)
 	}
-	info := d.meta.SiteInfos()[site]
+	meta := d.ops.meta
+	info := meta.SiteInfos()[site]
 	info.ID = site
 	if info.State == model.SiteActive {
 		info.State = model.SiteDraining
-		if err := d.meta.SetSiteInfo(info); err != nil {
+		if err := meta.SetSiteInfo(info); err != nil {
 			return err
 		}
 	}
 
-	for _, blockID := range d.meta.BlocksOnSite(site) {
-		metas, err := d.meta.Lookup([]model.BlockID{blockID})
+	for _, blockID := range meta.BlocksOnSite(site) {
+		block, err := d.ops.lookup(blockID)
 		if err != nil {
+			return fmt.Errorf("drain site %d: %w", site, err)
+		}
+		if block == nil {
 			continue // deleted mid-drain
 		}
-		meta := metas[blockID]
-		for chunk, placed := range meta.Sites {
-			if placed != site {
-				continue
-			}
-			if err := d.moveChunk(c, meta, chunk, site); err != nil {
+		for _, chunk := range block.ChunksAt(site) {
+			dst, err := d.ops.pick(block, chunk)
+			if err != nil {
 				return fmt.Errorf("drain site %d: %w", site, err)
 			}
-			meta.Version++ // moveChunk committed a CAS bump
-			d.obs.moved.Inc()
+			version, err := d.ops.relocate(c, block, chunk, dst)
+			if err != nil {
+				return fmt.Errorf("drain site %d: %w", site, err)
+			}
+			block.Sites[chunk], block.Version = dst, version
+			d.moved.Inc()
 		}
 	}
 
-	if rest := d.meta.BlocksOnSite(site); len(rest) != 0 {
+	if rest := meta.BlocksOnSite(site); len(rest) != 0 {
 		return fmt.Errorf("core: drain of site %d left %d blocks", site, len(rest))
 	}
 	info.State = model.SiteDecommissioned
-	if err := d.meta.SetSiteInfo(info); err != nil {
+	if err := meta.SetSiteInfo(info); err != nil {
 		return err
 	}
-	d.obs.drained.Inc()
+	d.drained.Inc()
 	return nil
-}
-
-// moveChunk migrates one chunk off the draining site: copy to the chosen
-// destination, CAS the placement, delete the source copy.
-func (d *Drainer) moveChunk(c *tasks.Ctx, meta *model.BlockMeta, chunk int, from model.SiteID) error {
-	ref := model.ChunkRef{Block: meta.ID, Chunk: chunk}
-	data, err := d.sites[from].GetChunk(c, ref)
-	if err != nil {
-		return fmt.Errorf("read %s: %w", ref, err)
-	}
-	if err := c.Throttle(int64(len(data))); err != nil {
-		return err
-	}
-	dst, err := d.pickDestination(meta)
-	if err != nil {
-		return err
-	}
-	if err := d.sites[dst].PutChunk(c, ref, data); err != nil {
-		return fmt.Errorf("write %s to site %d: %w", ref, dst, err)
-	}
-	if _, err := d.meta.UpdatePlacement(meta.ID, chunk, dst, meta.Version); err != nil {
-		_ = d.sites[dst].DeleteChunk(c, ref)
-		return fmt.Errorf("commit %s: %w", ref, err)
-	}
-	meta.Sites[chunk] = dst
-	_ = d.sites[from].DeleteChunk(c, ref)
-	return nil
-}
-
-// pickDestination chooses an active, healthy site not yet holding a chunk
-// of the block, under the block's per-zone cap (best-effort) and
-// preferring light load — the drain-side twin of repair's destination
-// logic.
-func (d *Drainer) pickDestination(meta *model.BlockMeta) (model.SiteID, error) {
-	infos := d.meta.SiteInfos()
-	zoneCap := model.MaxChunksPerZone(meta.R)
-	perZone := make(map[string]int)
-	holding := meta.SiteSet()
-	for id := range holding {
-		if z := infos[id].Zone; z != "" {
-			perZone[z]++
-		}
-	}
-	var candidates, overCap []model.SiteID
-	for id := range d.sites {
-		if holding[id] || infos[id].State != model.SiteActive {
-			continue
-		}
-		if d.health != nil && !d.health.Available(id) {
-			continue
-		}
-		if z := infos[id].Zone; z != "" && perZone[z] >= zoneCap {
-			overCap = append(overCap, id)
-			continue
-		}
-		candidates = append(candidates, id)
-	}
-	if len(candidates) == 0 {
-		candidates = overCap
-	}
-	if len(candidates) == 0 {
-		return model.NoSite, errors.New("core: no destination for drained chunk")
-	}
-	sort.Slice(candidates, func(i, j int) bool {
-		if d.loads != nil {
-			wi, wj := d.loads.Omega(candidates[i]), d.loads.Omega(candidates[j])
-			if wi != wj {
-				return wi < wj
-			}
-		}
-		return candidates[i] < candidates[j]
-	})
-	return candidates[0], nil
 }
 
 // TaskPlaneOptions selects which components BuildTaskPlane wires onto a
@@ -323,7 +247,7 @@ func (d *Drainer) pickDestination(meta *model.BlockMeta) (model.SiteID, error) {
 type TaskPlaneOptions struct {
 	// Repair enables repair-site/repair-chunk executors plus the
 	// liveness sweep source (cadence RepairProbeInterval, default 5s).
-	Repair              *repair.Service
+	Repair              *Repairer
 	RepairProbeInterval time.Duration
 	// Mover enables the move executor plus the planning source (cadence
 	// MoverInterval, default 1s).
@@ -365,15 +289,8 @@ func BuildTaskPlane(s *tasks.Scheduler, o TaskPlaneOptions) []func(ctx context.C
 
 	if o.Repair != nil {
 		rep := o.Repair
-		s.Register(model.TaskTypeRepairSite, func(tc *tasks.Ctx) error {
-			_, err := rep.RepairSite(tc, tc.Record().Site)
-			return err
-		})
-		s.Register(model.TaskTypeRepairChunk, func(tc *tasks.Ctx) error {
-			rec := tc.Record()
-			ref := model.ChunkRef{Block: rec.Block, Chunk: rec.Chunk}
-			return rep.RepairChunk(tc, ref, rec.Site)
-		})
+		s.Register(model.TaskTypeRepairSite, rep.RunSite)
+		s.Register(model.TaskTypeRepairChunk, rep.RunChunk)
 		probeEvery := o.RepairProbeInterval
 		if probeEvery <= 0 {
 			probeEvery = 5 * time.Second
@@ -392,26 +309,13 @@ func BuildTaskPlane(s *tasks.Scheduler, o TaskPlaneOptions) []func(ctx context.C
 
 	if o.Mover != nil {
 		mover := o.Mover
-		s.Register(model.TaskTypeMove, func(tc *tasks.Ctx) error {
-			rec := tc.Record()
-			plan := model.MovePlan{
-				Block: rec.Block,
-				Chunk: rec.Chunk,
-				From:  rec.Site,
-				To:    rec.Dest,
-			}
-			err := mover.ExecutePlanned(tc, plan)
-			if errors.Is(err, ErrStalePlan) {
-				return nil // the chunk moved first; nothing left to do
-			}
-			return err
-		})
+		s.Register(model.TaskTypeMove, mover.Run)
 		moveEvery := o.MoverInterval
 		if moveEvery <= 0 {
 			moveEvery = time.Second
 		}
-		addSource("move-plan", moveEvery, func(ctx context.Context) {
-			plan, ok := mover.SelectPlan(ctx)
+		addSource("move-plan", moveEvery, func(context.Context) {
+			plan, ok := mover.SelectPlan()
 			if !ok {
 				return
 			}

@@ -10,7 +10,7 @@ import (
 // function there must take a context.Context first. Matching is on the
 // final import path segment so the rule also applies to testdata
 // fixtures laid out under a directory of the same name.
-var ioPackages = []string{"storage", "rpc", "core", "repair", "metadata", "stats", "transport"}
+var ioPackages = []string{"storage", "rpc", "core", "metadata", "stats", "transport"}
 
 // lifecycleNames are teardown/lifecycle methods that legitimately block
 // without a caller context (they are bounded by the component's own

@@ -604,27 +604,8 @@ func (c *Catalog) ForEach(fn func(*model.BlockMeta) bool) {
 	}
 }
 
-// retiredWatermarks snapshots every partition's retired map (sorted ids)
-// for persistence.
-func (c *Catalog) retiredWatermarks() ([]model.BlockID, map[model.BlockID]uint64) {
-	out := make(map[model.BlockID]uint64)
-	for _, p := range c.parts {
-		p.mu.RLock()
-		for id, v := range p.retired {
-			out[id] = v
-		}
-		p.mu.RUnlock()
-	}
-	ids := make([]model.BlockID, 0, len(out))
-	for id := range out {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids, out
-}
-
-// restoreRetired seeds a retired watermark during snapshot load and WAL
-// replay.
+// restoreRetired seeds a retired watermark during partition-snapshot load
+// and WAL replay.
 func (c *Catalog) restoreRetired(id model.BlockID, version uint64) {
 	p := c.part(id)
 	p.mu.Lock()

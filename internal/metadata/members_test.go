@@ -1,8 +1,6 @@
 package metadata
 
 import (
-	"bytes"
-	"errors"
 	"testing"
 
 	"ecstore/internal/model"
@@ -188,28 +186,5 @@ func TestBlockMetaCodecRoundTripMembers(t *testing.T) {
 	}
 	if out2.PackedIn != "pack-9" || out2.PackedOff != 0 || len(out2.Members) != 0 {
 		t.Fatalf("member view round trip: %+v", out2)
-	}
-}
-
-func TestSnapshotPersistsMembers(t *testing.T) {
-	c := NewCatalog(sites(6))
-	if err := c.Register(containerMeta("pack-1", []model.PackedMember{{ID: "m1", Off: 0, Len: 400}})); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := c.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, ok := loaded.BlockMeta("m1")
-	if !ok || got.PackedIn != "pack-1" || got.Size != 400 {
-		t.Fatalf("member after reload: ok=%v %+v", ok, got)
-	}
-	// The member index reloads too: its id stays reserved.
-	if err := loaded.Register(blockMeta("m1", 1, 2, 3, 4)); !errors.Is(err, ErrExists) && err == nil {
-		t.Fatal("member id re-registrable after reload")
 	}
 }

@@ -36,6 +36,9 @@ const partSnapshotName = "part.snap"
 
 var partSnapMagic = []byte("ECSTORE-PART-V1\n")
 
+// ErrBadSnapshot reports a corrupt or foreign partition snapshot file.
+var ErrBadSnapshot = errors.New("metadata: bad snapshot")
+
 // Minimum encoded sizes, used to bound decoded count fields against the
 // bytes actually present — a flipped bit in a count must produce
 // ErrBadSnapshot, never a multi-gigabyte make().

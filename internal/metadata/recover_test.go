@@ -1,7 +1,7 @@
 package metadata
 
 import (
-	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -15,11 +15,12 @@ import (
 )
 
 // stateDump captures a catalog's full logical state in comparable form:
-// encoded blocks (sorted by id), sites, site infos, tasks, and the
-// retired watermarks of every id in ids.
+// encoded blocks (sorted by id), sites, the derived per-site block index,
+// site infos, tasks, and the retired watermarks of every id in ids.
 type stateDump struct {
 	Blocks  map[model.BlockID]string
 	Sites   []model.SiteID
+	OnSite  map[model.SiteID][]model.BlockID
 	Infos   map[model.SiteID]model.SiteInfo
 	Tasks   map[string]string
 	Retired map[model.BlockID]uint64
@@ -30,6 +31,7 @@ func dumpState(c *Catalog, ids []model.BlockID) stateDump {
 	d := stateDump{
 		Blocks:  map[model.BlockID]string{},
 		Sites:   c.Sites(),
+		OnSite:  map[model.SiteID][]model.BlockID{},
 		Infos:   c.SiteInfos(),
 		Tasks:   map[string]string{},
 		Retired: map[model.BlockID]uint64{},
@@ -43,6 +45,11 @@ func dumpState(c *Catalog, ids []model.BlockID) stateDump {
 		}
 		if v, ok := c.RetiredVersion(id); ok {
 			d.Retired[id] = v
+		}
+	}
+	for _, s := range d.Sites {
+		if on := c.BlocksOnSite(s); len(on) > 0 {
+			d.OnSite[s] = on
 		}
 	}
 	for _, t := range c.ListTasks() {
@@ -90,7 +97,12 @@ func TestOpenRecoversFullState(t *testing.T) {
 	if err := c.PutTask(taskRec("t1", model.TaskPending)); err != nil {
 		t.Fatal(err)
 	}
-	ids := []model.BlockID{"a", "b"}
+	rep := &model.BlockMeta{ID: "rep", Scheme: model.SchemeReplicated, Size: 100, K: 1, R: 2, ChunkSize: 100,
+		Sites: []model.SiteID{1, 3, 5}}
+	if err := c.Register(rep); err != nil {
+		t.Fatal(err)
+	}
+	ids := []model.BlockID{"a", "b", "rep"}
 	want := dumpState(c, ids)
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
@@ -101,6 +113,23 @@ func TestOpenRecoversFullState(t *testing.T) {
 	requireEqualState(t, want, dumpState(r, ids))
 	if v, ok := r.RetiredVersion("b"); !ok || v != 0 {
 		t.Fatalf("retired watermark for b = %d, %v", v, ok)
+	}
+	if got, _ := r.BlockMeta("rep"); got.Scheme != model.SchemeReplicated || got.RequiredChunks() != 1 {
+		t.Fatalf("replicated block mangled: %+v", got)
+	}
+}
+
+// TestReopenEmptyCatalog: a catalog that never saw a mutation reopens
+// empty, with its site list.
+func TestReopenEmptyCatalog(t *testing.T) {
+	dir := t.TempDir()
+	if err := mustOpen(t, dir, WALOptions{}).Close(); err != nil {
+		t.Fatal(err)
+	}
+	r := mustOpen(t, dir, WALOptions{})
+	defer func() { _ = r.Close() }()
+	if r.Len() != 0 || len(r.Sites()) != 6 {
+		t.Fatalf("reopened empty catalog: %d blocks, sites %v", r.Len(), r.Sites())
 	}
 }
 
@@ -141,41 +170,6 @@ func TestRetiredWatermarkSurvivesRestart(t *testing.T) {
 	}
 	if got.Version <= meta.Version {
 		t.Fatalf("re-registered version %d not above retired watermark %d: cache ABA", got.Version, meta.Version)
-	}
-}
-
-// TestRetiredWatermarkSurvivesSnapshotRestart exercises the same ABA
-// scenario through the V4 whole-catalog snapshot path (Save/Load), which
-// silently dropped watermarks before V4.
-func TestRetiredWatermarkSurvivesSnapshotRestart(t *testing.T) {
-	c := NewCatalog(sites(6))
-	if err := c.Register(blockMeta("blk", 1, 2, 3, 4)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.UpdatePlacement("blk", 0, 5, 0); err != nil {
-		t.Fatal(err)
-	}
-	meta, err := c.Delete("blk")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := c.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, ok := loaded.RetiredVersion("blk"); !ok || v != meta.Version {
-		t.Fatalf("snapshot lost retired watermark: got %d, %v, want %d", v, ok, meta.Version)
-	}
-	if err := loaded.Register(blockMeta("blk", 1, 2, 3, 4)); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := loaded.BlockMeta("blk")
-	if got.Version <= meta.Version {
-		t.Fatalf("re-registered version %d not above watermark %d after snapshot restart", got.Version, meta.Version)
 	}
 }
 
@@ -582,6 +576,10 @@ func TestPackRecovery(t *testing.T) {
 	if _, ok := r.BlockMeta("m2"); ok {
 		t.Fatal("deleted member m2 resolves after recovery")
 	}
+	// The member index reloads too: a live member's id stays reserved.
+	if err := r.Register(blockMeta("m1", 1, 2, 3, 4)); err == nil {
+		t.Fatal("member id re-registrable after recovery")
+	}
 	// Deleting the container after recovery must cascade to m1/m3.
 	if _, err := r.Delete("pack"); err != nil {
 		t.Fatal(err)
@@ -591,23 +589,59 @@ func TestPackRecovery(t *testing.T) {
 	}
 }
 
-// TestBoundedSnapshotCounts: a flipped bit in a count field must fail
-// with ErrBadSnapshot, not drive allocation.
-func TestBoundedSnapshotCounts(t *testing.T) {
-	c := NewCatalog(sites(4))
+// TestOpenRejectsCorruptSnapshot: a partition snapshot that is empty,
+// foreign, truncated or has a flipped bit in a count field must fail the
+// boot with ErrBadSnapshot — never load partially, and never let a
+// corrupt count drive allocation. The committed snapshot is also the only
+// file compaction leaves behind: no temp file survives it.
+func TestOpenRejectsCorruptSnapshot(t *testing.T) {
+	seed := t.TempDir()
+	c, err := Open(seed, sites(4), WALOptions{Partitions: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := c.Register(blockMeta("a", 1, 2, 3, 4)); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := c.Save(&buf); err != nil {
+	if err := c.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	data := buf.Bytes()
-	// The site-count field is the first u32 after the magic and the
-	// first frame header: flip its high bit.
-	off := len(snapshotMagic) + 4
-	data[off] ^= 0x80
-	if _, err := Load(bytes.NewReader(data)); err == nil {
-		t.Fatal("corrupt site count loaded")
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snap := filepath.Join(partDirName(0), partSnapshotName)
+	good, err := os.ReadFile(filepath.Join(seed, snap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(seed, snap+".tmp")); !os.IsNotExist(err) {
+		t.Fatal("compaction left its temp file behind")
+	}
+
+	flipped := append([]byte(nil), good...)
+	// The site count is the first u32 of the second frame's payload;
+	// frame = [u32 len][u32 crc][payload].
+	hdrLen := int(uint32(good[len(partSnapMagic)])<<24 | uint32(good[len(partSnapMagic)+1])<<16 |
+		uint32(good[len(partSnapMagic)+2])<<8 | uint32(good[len(partSnapMagic)+3]))
+	flipped[len(partSnapMagic)+8+hdrLen+8] ^= 0x80
+	cases := map[string][]byte{
+		"empty":         {},
+		"wrong magic":   append([]byte("NOT-A-SNAPSHOT--\n"), good[len(partSnapMagic):]...),
+		"truncated":     good[:len(good)-3],
+		"flipped count": flipped,
+	}
+	for name, data := range cases {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.MkdirAll(filepath.Join(dir, partDirName(0)), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, snap), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Open(dir, sites(4), WALOptions{Partitions: 1}); !errors.Is(err, ErrBadSnapshot) {
+				t.Fatalf("err = %v, want ErrBadSnapshot", err)
+			}
+		})
 	}
 }

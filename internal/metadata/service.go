@@ -2,6 +2,7 @@ package metadata
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -35,6 +36,17 @@ var (
 	_ Service = (*Catalog)(nil)
 	_ Service = (*Client)(nil)
 )
+
+// IsNotFound reports whether a Lookup error means the service answered
+// and the block does not exist — ErrNotFound from a Catalog in process, a
+// *rpc.RemoteError from a Client (the only application error a Lookup
+// can transport) — as opposed to a transport failure, after which
+// nothing is known about the block. Background work treats the former as
+// "nothing left to do" and must fail, and so retry, on the latter.
+func IsNotFound(err error) bool {
+	var remote *rpc.RemoteError
+	return errors.Is(err, ErrNotFound) || errors.As(err, &remote)
+}
 
 // RPC method numbers of the metadata service. New methods are appended at
 // the end of the iota block — numbers are part of the wire protocol and

@@ -1,7 +1,6 @@
 package metadata
 
 import (
-	"bytes"
 	"errors"
 	"testing"
 
@@ -82,76 +81,6 @@ func TestSiteInfos(t *testing.T) {
 	// Unconfigured sites read as zone-less active.
 	if infos[2].Zone != "" || infos[2].State != model.SiteActive {
 		t.Fatalf("site 2 info = %+v", infos[2])
-	}
-}
-
-func TestSnapshotPersistsTasksAndSiteInfo(t *testing.T) {
-	c := NewCatalog(sites(4))
-	if err := c.Register(blockMeta("alpha", 1, 2, 3)); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.PutTask(taskRec("scrub-3", model.TaskRunning)); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.SetSiteInfo(model.SiteInfo{ID: 2, Zone: "zone-b", State: model.SiteDraining}); err != nil {
-		t.Fatal(err)
-	}
-
-	var buf bytes.Buffer
-	if err := c.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tasks := loaded.ListTasks()
-	if len(tasks) != 1 || *tasks[0] != *taskRec("scrub-3", model.TaskRunning) {
-		t.Fatalf("loaded tasks = %+v", tasks)
-	}
-	if info := loaded.SiteInfos()[2]; info.Zone != "zone-b" || info.State != model.SiteDraining {
-		t.Fatalf("loaded site info = %+v", info)
-	}
-	if _, ok := loaded.BlockMeta("alpha"); !ok {
-		t.Fatal("loaded catalog lost block alpha")
-	}
-}
-
-func TestLoadAcceptsV2Snapshots(t *testing.T) {
-	c := NewCatalog(sites(4))
-	if err := c.Register(blockMeta("alpha", 1, 2, 3)); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := c.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	// Rewrite the V4 snapshot as a V2 one: swap the magic and drop the
-	// site-info, task and retired frames (frames 2, 3 and 4).
-	v4 := buf.Bytes()
-	body := v4[len(snapshotMagic):]
-	var v2 bytes.Buffer
-	v2.Write(snapshotMagicV2)
-	// Frame 1 (site list) passes through; frames 2 through 4 are dropped.
-	for i := 0; i < 4; i++ {
-		flen := int(uint32(body[0])<<24 | uint32(body[1])<<16 | uint32(body[2])<<8 | uint32(body[3]))
-		frame := body[:4+flen]
-		body = body[4+flen:]
-		if i == 0 {
-			v2.Write(frame)
-		}
-	}
-	v2.Write(body)
-
-	loaded, err := Load(&v2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := loaded.BlockMeta("alpha"); !ok {
-		t.Fatal("V2 load lost block alpha")
-	}
-	if len(loaded.ListTasks()) != 0 {
-		t.Fatal("V2 load invented tasks")
 	}
 }
 

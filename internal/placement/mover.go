@@ -78,9 +78,14 @@ type MoverEnv struct {
 	CoAccess *stats.CoAccessTracker
 	Loads    *stats.LoadTracker
 	Costs    *model.SiteCosts
-	// Available filters failed sites from destination consideration;
-	// nil means all sites are available.
+	// Available reports whether a site's breaker is closed, both for the
+	// cost of reading from it and as a movement destination; nil means
+	// all sites are available.
 	Available func(model.SiteID) bool
+	// Infos is the catalog's zone and drain-state view; with Available it
+	// forms the Eligibility rule destinations must pass. Nil means every
+	// site is active and zone-less.
+	Infos map[model.SiteID]model.SiteInfo
 	// RequestRate is the observed request arrival rate (requests per
 	// second) used to translate block access frequency into an I/O rate
 	// for load shifting.
@@ -210,8 +215,9 @@ func (m *Mover) SelectMovementPlan(env MoverEnv) (model.MovePlan, bool) {
 		return model.MovePlan{}, false
 	}
 
-	siteLoadRank := make(map[model.SiteID]int)
-	for rank, s := range env.Loads.SitesByLoadDesc() {
+	byLoad := env.Loads.SitesByLoadDesc()
+	siteLoadRank := make(map[model.SiteID]int, len(byLoad))
+	for rank, s := range byLoad {
 		siteLoadRank[s] = rank
 	}
 
@@ -223,10 +229,6 @@ func (m *Mover) SelectMovementPlan(env MoverEnv) (model.MovePlan, bool) {
 	for _, id := range blocks {
 		meta, ok := env.Catalog.BlockMeta(id)
 		if !ok {
-			continue
-		}
-		dests := m.candidateDestinations(env, meta)
-		if len(dests) == 0 {
 			continue
 		}
 		ctx := m.blockContext(env, meta)
@@ -249,7 +251,7 @@ func (m *Mover) SelectMovementPlan(env MoverEnv) (model.MovePlan, bool) {
 
 		for _, chunk := range chunks {
 			src := meta.Sites[chunk]
-			for _, dst := range dests {
+			for _, dst := range m.candidateDestinations(env, byLoad, meta, chunk) {
 				score := m.cfg.W1*m.accessGain(env, ctx, chunk, dst) +
 					w2*m.LoadGain(env, meta, src, dst)
 				evals++
@@ -266,22 +268,19 @@ func (m *Mover) SelectMovementPlan(env MoverEnv) (model.MovePlan, bool) {
 	return best, found
 }
 
-// candidateDestinations lists available sites that hold no chunk of the
-// block (preserving r-fault tolerance), ordered from least to most loaded
-// so the greedy search sees the most promising destinations first.
-func (m *Mover) candidateDestinations(env MoverEnv, meta *model.BlockMeta) []model.SiteID {
-	holding := meta.SiteSet()
-	byLoad := env.Loads.SitesByLoadDesc()
+// candidateDestinations lists the sites eligible to receive the given
+// chunk of the block under the shared rule — including the zone cap,
+// which an optional move never relaxes — ordered from least to most
+// loaded (byLoad runs the other way) so the greedy search sees the most
+// promising destinations first.
+func (m *Mover) candidateDestinations(env MoverEnv, byLoad []model.SiteID, meta *model.BlockMeta, chunk int) []model.SiteID {
+	rule := Eligibility{Infos: env.Infos, Available: env.Available}.
+		ForBlock(meta.Sites, chunk, model.MaxChunksPerZone(meta.R))
 	dests := make([]model.SiteID, 0, m.cfg.MaxDestinations)
 	for i := len(byLoad) - 1; i >= 0 && len(dests) < m.cfg.MaxDestinations; i-- {
-		s := byLoad[i]
-		if holding[s] {
-			continue
+		if s := byLoad[i]; rule.Allows(s) && rule.UnderCap(s) {
+			dests = append(dests, s)
 		}
-		if env.Available != nil && !env.Available(s) {
-			continue
-		}
-		dests = append(dests, s)
 	}
 	return dests
 }

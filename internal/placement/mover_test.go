@@ -211,13 +211,17 @@ func TestMovementNeverViolatesFaultTolerance(t *testing.T) {
 	}
 }
 
+// unconstrained is the rule of a new block in a cluster without zones,
+// drains or failures: every site qualifies.
+func unconstrained() *BlockRule { return Eligibility{}.ForBlock(nil, -1, 1) }
+
 func TestPlacerRandomDistinct(t *testing.T) {
 	p, err := NewPlacer(PlaceRandom, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sites := []model.SiteID{1, 2, 3, 4, 5}
-	got, err := p.Place(sites, 4)
+	got, err := p.Place(sites, 4, unconstrained())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,13 +239,13 @@ func TestPlacerInsufficientSites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Place([]model.SiteID{1, 2}, 3); err == nil {
+	if _, err := p.Place([]model.SiteID{1, 2}, 3, unconstrained()); err == nil {
 		t.Fatal("accepted placement with too few sites")
 	}
-	if _, err := p.Place([]model.SiteID{1, 1, 1}, 2); err == nil {
+	if _, err := p.Place([]model.SiteID{1, 1, 1}, 2, unconstrained()); err == nil {
 		t.Fatal("duplicates counted as distinct sites")
 	}
-	if _, err := p.Place([]model.SiteID{1}, 0); err == nil {
+	if _, err := p.Place([]model.SiteID{1}, 0, unconstrained()); err == nil {
 		t.Fatal("accepted zero chunk count")
 	}
 }
@@ -258,7 +262,7 @@ func TestPlacerLoadAware(t *testing.T) {
 	}
 	cold := 0
 	for trial := 0; trial < 30; trial++ {
-		got, err := p.Place([]model.SiteID{1, 2, 3, 4}, 2)
+		got, err := p.Place([]model.SiteID{1, 2, 3, 4}, 2, unconstrained())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -34,8 +34,11 @@ func (s PlaceStrategy) String() string {
 	}
 }
 
-// Placer chooses sites for the chunks of newly written blocks. Chunks of
-// one block always land on distinct sites to preserve r-fault tolerance.
+// Placer orders eligible sites by preference and picks destinations from
+// them: the client uses one for the chunks of newly written blocks, the
+// background plane (repair, drain) a load-aware one for relocated chunks.
+// Chunks of one block always land on distinct sites to preserve r-fault
+// tolerance.
 type Placer struct {
 	strategy PlaceStrategy
 	loads    *stats.LoadTracker // may be nil for PlaceRandom
@@ -58,48 +61,31 @@ func NewPlacer(strategy PlaceStrategy, loads *stats.LoadTracker, seed int64) (*P
 	return &Placer{strategy: strategy, rng: rand.New(rand.NewSource(seed)), loads: loads}, nil
 }
 
-// Place selects `chunks` distinct sites from the candidate list. It
-// returns an error when fewer than `chunks` distinct sites are available.
-func (p *Placer) Place(sites []model.SiteID, chunks int) ([]model.SiteID, error) {
-	ordered, err := p.ordered(sites, chunks)
-	if err != nil {
-		return nil, err
-	}
-	return ordered[:chunks], nil
-}
-
-// PlaceZoned selects `chunks` distinct sites while capping the number of
-// chunks landing in any one failure zone at maxPerZone, so a whole-zone
-// outage costs at most maxPerZone chunks of the block (choose
-// model.MaxChunksPerZone(r) to keep zone loss within the code's erasure
-// margin). Sites with an empty zone count as their own singleton zone.
-// The cap is best-effort: when the zone population cannot satisfy it —
-// fewer zones than chunks/maxPerZone requires — the remainder relaxes the
-// cap rather than failing the write.
-func (p *Placer) PlaceZoned(sites []model.SiteID, chunks int, zone func(model.SiteID) string, maxPerZone int) ([]model.SiteID, error) {
-	if zone == nil || maxPerZone <= 0 {
-		return p.Place(sites, chunks)
-	}
-	ordered, err := p.ordered(sites, chunks)
-	if err != nil {
-		return nil, err
-	}
-	zoneKey := func(s model.SiteID) string {
-		if z := zone(s); z != "" {
-			return z
+// Place selects `chunks` distinct sites for the block rule describes,
+// from the candidates its hard rules allow, in the strategy's preference
+// order. The zone cap is best-effort: sites are taken under the cap
+// first, and when the zone population cannot satisfy it — fewer zones
+// than chunks/cap requires — the remainder relaxes the cap rather than
+// failing. It returns an error when fewer than `chunks` distinct sites
+// are allowed at all.
+func (p *Placer) Place(sites []model.SiteID, chunks int, rule *BlockRule) ([]model.SiteID, error) {
+	allowed := make([]model.SiteID, 0, len(sites))
+	for _, s := range sites {
+		if rule.Allows(s) {
+			allowed = append(allowed, s)
 		}
-		return fmt.Sprintf("site-%d", s)
+	}
+	ordered, err := p.ordered(allowed, chunks)
+	if err != nil {
+		return nil, err
 	}
 	chosen := make([]model.SiteID, 0, chunks)
-	taken := make(map[model.SiteID]bool, chunks)
-	perZone := make(map[string]int)
 	for _, s := range ordered {
 		if len(chosen) == chunks {
 			return chosen, nil
 		}
-		if z := zoneKey(s); perZone[z] < maxPerZone {
-			perZone[z]++
-			taken[s] = true
+		if rule.UnderCap(s) {
+			rule.take(s)
 			chosen = append(chosen, s)
 		}
 	}
@@ -108,7 +94,8 @@ func (p *Placer) PlaceZoned(sites []model.SiteID, chunks int, zone func(model.Si
 		if len(chosen) == chunks {
 			break
 		}
-		if !taken[s] {
+		if !rule.holding[s] { // not taken in the first pass
+			rule.take(s)
 			chosen = append(chosen, s)
 		}
 	}
@@ -144,6 +131,13 @@ func (p *Placer) ordered(sites []model.SiteID, chunks int) ([]model.SiteID, erro
 		}
 		if pool > len(uniq) {
 			pool = len(uniq)
+		}
+		// A tie at the pool's edge is not a preference: sites exactly as
+		// loaded as its last member join it. An idle cluster reports
+		// ω = 0 everywhere, and the sort's id tie-break would otherwise
+		// pin every placement to the low-id half.
+		for pool < len(uniq) && p.loads.Omega(uniq[pool]) == p.loads.Omega(uniq[pool-1]) {
+			pool++
 		}
 		cand := append([]model.SiteID(nil), uniq...)
 		p.shuffle(cand, pool)

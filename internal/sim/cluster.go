@@ -228,6 +228,9 @@ type Cluster struct {
 	netRNG  *rand.Rand
 	sites   map[model.SiteID]*site
 	siteIDs []model.SiteID
+	// zoneInfos is the zone view placement and the mover consult; nil
+	// without Options.Zones.
+	zoneInfos map[model.SiteID]model.SiteInfo
 
 	catalog *metadata.Catalog
 	planner *placement.Planner
@@ -285,6 +288,9 @@ func New(p Params, opt Options) (*Cluster, error) {
 	if servers <= 0 {
 		servers = 1
 	}
+	if opt.Zones > 0 {
+		c.zoneInfos = make(map[model.SiteID]model.SiteInfo, p.NumSites)
+	}
 	for i := 0; i < p.NumSites; i++ {
 		id := model.SiteID(i + 1)
 		c.siteIDs = append(c.siteIDs, id)
@@ -298,6 +304,9 @@ func New(p Params, opt Options) (*Cluster, error) {
 			slowMax:  p.SlowMax,
 			rng:      rand.New(rand.NewSource(p.Seed + 1000 + int64(i))),
 			servers:  make([]float64, servers),
+		}
+		if c.zoneInfos != nil {
+			c.zoneInfos[id] = model.SiteInfo{ID: id, Zone: c.zoneOf(id)}
 		}
 	}
 	parts := opt.CatalogPartitions
@@ -406,14 +415,8 @@ func (c *Cluster) Populate(n int, sizeFor func(int) int64) ([]model.BlockID, err
 		ids[i] = id
 		size := sizeFor(i)
 		chunkSize := (size + int64(k) - 1) / int64(k)
-		var sites []model.SiteID
-		var err error
-		if c.opt.Zones > 0 {
-			r := total - k
-			sites, err = placer.PlaceZoned(c.siteIDs, total, c.zoneOf, model.MaxChunksPerZone(r))
-		} else {
-			sites, err = placer.Place(c.siteIDs, total)
-		}
+		rule := placement.Eligibility{Infos: c.zoneInfos}.ForBlock(nil, -1, model.MaxChunksPerZone(total-k))
+		sites, err := placer.Place(c.siteIDs, total, rule)
 		if err != nil {
 			return nil, err
 		}
@@ -694,6 +697,7 @@ func (c *Cluster) moveOnce() {
 		Loads:       c.loads,
 		Costs:       c.costs(),
 		Available:   c.available,
+		Infos:       c.zoneInfos,
 		RequestRate: c.reqRate,
 	}
 	plan, ok := c.mover.SelectMovementPlan(env)

@@ -433,13 +433,6 @@ func (s *Scheduler) throttle(ctx context.Context, n int64) error {
 	}
 }
 
-// Throttle draws n bytes from the shared background byte budget outside
-// a task context — components like the repair service use it so their
-// I/O counts against the same bucket as task executors.
-func (s *Scheduler) Throttle(ctx context.Context, n int64) error {
-	return s.throttle(ctx, n)
-}
-
 // sleep waits for d via the injected Sleep hook or a context-aware timer.
 func (s *Scheduler) sleep(ctx context.Context, d time.Duration) error {
 	if d <= 0 {

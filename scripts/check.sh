@@ -7,7 +7,9 @@
 # poison hook on), run the read path's hit and miss benchmarks once,
 # then smoke-run the fault-tolerance example end to end
 # (degraded reads, repair, recovery), the scrubbing example (injected
-# bit rot -> nonzero scrub_corrupt_detected), and a cache on/off
+# bit rot -> nonzero scrub_corrupt_detected), the movement example (the
+# move executor end to end: nonzero committed moves, every block still
+# readable), and a cache on/off
 # comparison on a zipfian workload, asserting the decoded-block cache
 # actually serves hits, plus the small-object packing ablation, asserting
 # a nonzero packed-block count, then the gateway smoke (live open-loop
@@ -33,6 +35,10 @@ go run ./examples/faulttolerance
 scrub=$(go run ./examples/scrubbing)
 echo "$scrub"
 echo "$scrub" | grep -Eq 'scrub_corrupt_detected=[1-9]'
+move=$(go run ./examples/movement)
+echo "$move" | tail -n 3
+echo "$move" | grep -Eq 'mover executed [1-9]'
+echo "$move" | grep -q 'all blocks readable after movement'
 out=$(go run ./cmd/ecbench -cache-bytes $((32 << 20)) -scale quick)
 echo "$out"
 echo "$out" | grep -Eq 'hits=[1-9]'
