@@ -20,6 +20,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -29,6 +30,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"time"
 
 	"ecstore/internal/core"
 	"ecstore/internal/gateway"
@@ -40,6 +42,10 @@ import (
 	"ecstore/internal/storage"
 	"ecstore/internal/transport"
 )
+
+// probeInterval is the cadence of the client's probe round, the one the
+// benchmark rig drives its own at.
+const probeInterval = time.Second
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
@@ -142,6 +148,30 @@ func run(args []string) error {
 		return err
 	}
 	defer client.Close()
+
+	// One failed read opens a site's breaker and only a probe success
+	// closes it again, and o_j comes from probe round trips alone: without
+	// this round a site that hiccups once is out of every plan until the
+	// daemon restarts, and the cost model never leaves its defaults.
+	probeCtx, stopProbes := context.WithCancel(context.Background())
+	probesDone := make(chan struct{})
+	go func() {
+		defer close(probesDone)
+		tick := time.NewTicker(probeInterval)
+		defer tick.Stop()
+		for {
+			select {
+			case <-tick.C:
+				client.ProbeAllContext(probeCtx)
+			case <-probeCtx.Done():
+				return
+			}
+		}
+	}()
+	defer func() {
+		stopProbes()
+		<-probesDone
+	}()
 
 	gw := gateway.New(gateway.Config{
 		Tenants:       tenants,

@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -60,9 +61,22 @@ func TestRunFlagErrors(t *testing.T) {
 	}
 }
 
+// backendSite is one storage site of startBackend's cluster: its service,
+// for failure injection, and a count of the RPCs it has been sent.
+type backendSite struct {
+	svc   *storage.Service
+	calls atomic.Int64
+	rpc.Handler
+}
+
+func (s *backendSite) Handle(ctx context.Context, m rpc.Method, body []byte) ([]byte, error) {
+	s.calls.Add(1)
+	return s.Handler.Handle(ctx, m, body)
+}
+
 // startBackend brings up a real metadata server and n storage sites over
 // TCP, returning their addresses.
-func startBackend(t *testing.T, n int) (metaAddr string, siteAddrs []string) {
+func startBackend(t *testing.T, n int) (metaAddr string, siteAddrs []string, sites []*backendSite) {
 	t.Helper()
 	ids := make([]model.SiteID, n)
 	for i := range ids {
@@ -86,12 +100,14 @@ func startBackend(t *testing.T, n int) (metaAddr string, siteAddrs []string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ssrv := rpc.NewServer(storage.NewRPCServer(svc))
+		site := &backendSite{svc: svc, Handler: storage.NewRPCServer(svc)}
+		ssrv := rpc.NewServer(site)
 		go ssrv.Serve(sl) //lint:ignore goleak test server torn down by Close in cleanup
 		t.Cleanup(func() { ssrv.Close() })
 		siteAddrs = append(siteAddrs, sl.Addr().String())
+		sites = append(sites, site)
 	}
-	return metaAddr, siteAddrs
+	return metaAddr, siteAddrs, sites
 }
 
 func freeAddr(t *testing.T) string {
@@ -106,7 +122,7 @@ func freeAddr(t *testing.T) string {
 }
 
 func TestGatewayDaemonHTTPEndToEnd(t *testing.T) {
-	metaAddr, siteAddrs := startBackend(t, 4)
+	metaAddr, siteAddrs, _ := startBackend(t, 4)
 	httpAddr := freeAddr(t)
 
 	errCh := make(chan error, 1)
@@ -197,7 +213,7 @@ func TestGatewayDaemonHTTPEndToEnd(t *testing.T) {
 }
 
 func TestGatewayDaemonRPCFront(t *testing.T) {
-	metaAddr, siteAddrs := startBackend(t, 4)
+	metaAddr, siteAddrs, _ := startBackend(t, 4)
 	rpcAddr := freeAddr(t)
 
 	errCh := make(chan error, 1)
@@ -244,5 +260,93 @@ func TestGatewayDaemonRPCFront(t *testing.T) {
 	}
 	if string(got) != "native front over tcp" {
 		t.Fatalf("get = %q", got)
+	}
+}
+
+// TestGatewayDaemonProbesSites: the daemon runs the client's probe round
+// itself. Idle, every site still sees calls; and a site whose breaker one
+// failure opened is probed back into plans once it recovers, where
+// before it stayed excluded until the daemon restarted.
+func TestGatewayDaemonProbesSites(t *testing.T) {
+	metaAddr, siteAddrs, sites := startBackend(t, 4)
+	httpAddr := freeAddr(t)
+	errCh := make(chan error, 1)
+	go func() {
+		errCh <- run([]string{"-http", httpAddr, "-meta", metaAddr, "-sites", strings.Join(siteAddrs, ","), "-default-rate", "-1"})
+	}()
+	base := "http://" + httpAddr
+	client := &http.Client{Timeout: 5 * time.Second}
+	get := func(path string) (int, string) {
+		resp, err := client.Get(base + path)
+		if err != nil {
+			return 0, err.Error()
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(body)
+	}
+	// waitFor polls cond until it holds; every wait below is for the
+	// daemon's own background round, which nothing here can trigger.
+	waitFor := func(what string, limit time.Duration, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(limit)
+		for !cond() {
+			select {
+			case e := <-errCh:
+				t.Fatalf("daemon exited: %v", e)
+			default:
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+			time.Sleep(20 * time.Millisecond)
+		}
+	}
+	waitFor("the daemon to come up", 5*time.Second, func() bool { code, _ := get("/healthz"); return code == http.StatusOK })
+
+	payload := bytes.Repeat([]byte("probe me "), 100)
+	req, _ := http.NewRequest(http.MethodPut, base+"/v1/blocks/blk", bytes.NewReader(payload))
+	resp, err := client.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("put status = %d", resp.StatusCode)
+	}
+
+	// Idle daemon: the only calls a site can see are probes.
+	idle := make([]int64, len(sites))
+	for i, s := range sites {
+		idle[i] = s.calls.Load()
+	}
+	waitFor("two probe rounds at every site", 5*time.Second, func() bool {
+		for i, s := range sites {
+			if s.calls.Load() < idle[i]+2 {
+				return false
+			}
+		}
+		return true
+	})
+
+	openSites := func(n string) bool {
+		_, body := get("/metrics")
+		return strings.Contains(body, "gauge health_open_sites "+n+"\n")
+	}
+	sites[0].svc.Fail()
+	waitFor("site 1's breaker to open", 5*time.Second, func() bool { return openSites("1") })
+	sites[0].svc.Recover()
+	waitFor("a probe to close site 1's breaker", 15*time.Second, func() bool { return openSites("0") })
+
+	// With sites 2 and 3 down, RS(2,2) over four sites can only be read
+	// through site 1: it is back in plans, or this fails as infeasible.
+	sites[1].svc.Fail()
+	sites[2].svc.Fail()
+	before, _ := sites[0].svc.Totals()
+	if code, body := get("/v1/blocks/blk"); code != http.StatusOK || body != string(payload) {
+		t.Fatalf("GET with only sites 1 and 4 up = %d %q", code, body)
+	}
+	if after, _ := sites[0].svc.Totals(); after == before {
+		t.Fatal("the recovered site served no read")
 	}
 }

@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -679,635 +678,6 @@ func (c *Client) cleanupChunks(ctx context.Context, id model.BlockID, chosen []m
 	c.obs.putCleanups.Inc()
 }
 
-// Get retrieves one block.
-//
-//lint:ignore ctxfirst context-free convenience entry over GetContext; timeouts still apply via cfg.RequestTimeout
-func (c *Client) Get(id model.BlockID) ([]byte, error) {
-	return c.GetContext(context.Background(), id)
-}
-
-// GetContext retrieves one block under a caller-supplied context. The
-// returned bytes are read-only (see GetMultiContext).
-func (c *Client) GetContext(ctx context.Context, id model.BlockID) ([]byte, error) {
-	res, _, err := c.GetMultiContext(ctx, []model.BlockID{id})
-	if err != nil {
-		return nil, err
-	}
-	return res[id], nil
-}
-
-// GetMulti retrieves a set of blocks (read path R1-R3) and returns the
-// per-phase response-time breakdown the paper's evaluation reports.
-//
-//lint:ignore ctxfirst context-free convenience entry over GetMultiContext; timeouts still apply via cfg.RequestTimeout
-func (c *Client) GetMulti(ids []model.BlockID) (map[model.BlockID][]byte, model.Breakdown, error) {
-	return c.GetMultiContext(context.Background(), ids)
-}
-
-// GetMultiContext is GetMulti under a caller-supplied context; the
-// configured RequestTimeout is additionally applied when set.
-//
-// Every block a Get* method returns is an immutable shared value: the
-// same slice may be resident in the decoded-block cache and in the hands
-// of every other reader of that block — concurrent requests coalesced
-// onto one fetch, and all later cache hits. Callers must not modify it;
-// one that needs a scratch copy makes its own.
-func (c *Client) GetMultiContext(ctx context.Context, ids []model.BlockID) (map[model.BlockID][]byte, model.Breakdown, error) {
-	var bd model.Breakdown
-	if len(ids) == 0 {
-		return nil, bd, nil
-	}
-	ctx, cancel := c.requestCtx(ctx)
-	defer cancel()
-	c.obs.requests.Inc()
-	c.obs.blocks.Add(int64(len(ids)))
-	tstart := time.Now()
-	defer func() { c.obs.requestH.ObserveSince(tstart) }()
-	tr := c.tracer.Start("get")
-	defer tr.Finish()
-
-	// Small blocks still staged for packing live only in this client's
-	// packer — the catalog has never heard of them, so they must be
-	// served (read-through) before the all-or-nothing Lookup.
-	out := make(map[model.BlockID][]byte, len(ids))
-	if c.packer != nil {
-		remaining := make([]model.BlockID, 0, len(ids))
-		for _, id := range ids {
-			if data, ok := c.packer.get(id); ok {
-				out[id] = data
-			} else {
-				remaining = append(remaining, id)
-			}
-		}
-		ids = remaining
-		if len(ids) == 0 {
-			return out, bd, nil
-		}
-	}
-
-	// R1: metadata access.
-	t0 := time.Now()
-	sp := tr.StartSpan("metadata")
-	metas, err := c.meta.Lookup(ids)
-	sp.End()
-	if err != nil {
-		return nil, bd, fmt.Errorf("metadata lookup: %w", err)
-	}
-	bd.Metadata = time.Since(t0).Seconds()
-	c.obs.metadataH.Observe(bd.Metadata)
-
-	// Feed co-access statistics (sampled request stream); statistics
-	// loss must never fail a read, so sink errors degrade silently.
-	c.coaccess.Record(ids)
-	if c.sink != nil {
-		_ = c.sink.RecordAccess(ids)
-	}
-
-	// Sealed pack members resolve to synthesized metadata (PackedIn set):
-	// their bytes are a sub-range of the container, served through the
-	// stripe-range path instead of a whole-chunk access plan.
-	for id, meta := range metas {
-		if !meta.Packed() {
-			continue
-		}
-		data, rerr := c.rangeRead(ctx, containerView(meta), meta.PackedOff, meta.Size)
-		if rerr != nil {
-			return nil, bd, fmt.Errorf("read packed %s: %w", id, rerr)
-		}
-		out[id] = data
-		delete(metas, id)
-	}
-	if len(metas) == 0 {
-		return out, bd, nil
-	}
-	req := placement.PlanRequest{Metas: metas, Available: c.available}
-
-	// Cache tier: serve decoded hits from local memory and strip them
-	// from the plan request — a hit accesses no sites at all, which can
-	// only lower the request's Eq. 1 cost. Entries are keyed by the
-	// placement version just looked up, so a block moved or rewritten
-	// since it was cached misses here and is re-fetched.
-	if c.cache != nil {
-		sp = tr.StartSpan("cache")
-		var hits []model.BlockID
-		for id, meta := range metas {
-			if data, ok := c.cache.Get(id, meta.Version); ok {
-				out[id] = data
-				hits = append(hits, id)
-			}
-		}
-		req = req.Without(hits)
-		sp.End()
-		if len(req.Metas) == 0 {
-			return out, bd, nil
-		}
-	}
-
-	got, err := c.readMisses(ctx, req, tr, &bd)
-	for id, data := range got {
-		out[id] = data
-	}
-	if err != nil {
-		// Stale-if-error: when a missing block currently cannot be
-		// reconstructed (too few of its sites are healthy), a
-		// bounded-stale cache entry beats failing the whole request.
-		// Any other failure — or any missing block without a fresh
-		// enough entry — still fails the read.
-		for id, meta := range req.Metas {
-			if _, ok := out[id]; ok {
-				continue
-			}
-			if !c.blockUnreadable(meta) {
-				return nil, bd, err
-			}
-			data, _, ok := c.cache.GetStale(id)
-			if !ok {
-				return nil, bd, err
-			}
-			out[id] = data
-		}
-	}
-	return out, bd, nil
-}
-
-// readMisses retrieves the blocks the cache could not serve. With the
-// cache enabled, concurrent requests for the same (block, version)
-// coalesce onto one leader fetch+decode through the singleflight group;
-// followers whose leader failed get one direct fetch round of their
-// own. On error the returned map may hold the blocks that did succeed.
-func (c *Client) readMisses(ctx context.Context, req placement.PlanRequest, tr *obs.Trace, bd *model.Breakdown) (map[model.BlockID][]byte, error) {
-	if c.cache == nil {
-		return c.fetchBlocks(ctx, req, tr, bd)
-	}
-
-	leaders := placement.PlanRequest{Metas: make(map[model.BlockID]*model.BlockMeta, len(req.Metas)), Available: req.Available}
-	flights := make(map[model.BlockID]*cache.Flight, len(req.Metas))
-	followers := make(map[model.BlockID]*cache.Flight)
-	for id, meta := range req.Metas {
-		f, leader := c.cache.Flights.Join(id, meta.Version)
-		if leader {
-			leaders.Metas[id] = meta
-			flights[id] = f
-		} else {
-			followers[id] = f
-		}
-	}
-	c.cache.DedupObserved(len(followers))
-
-	out := make(map[model.BlockID][]byte, len(req.Metas))
-	var fetchErr error
-	if len(leaders.Metas) > 0 {
-		data, err := c.fetchBlocks(ctx, leaders, tr, bd)
-		for id, f := range flights {
-			f.Complete(data[id], err)
-		}
-		if err != nil {
-			fetchErr = err
-		} else {
-			for id, meta := range leaders.Metas {
-				out[id] = data[id]
-				c.cache.Put(id, meta.Version, data[id])
-			}
-		}
-	}
-
-	// Collect follower results; a failed or expired leader leaves its
-	// followers to one direct fetch round for the remaining blocks.
-	direct := placement.PlanRequest{Metas: make(map[model.BlockID]*model.BlockMeta), Available: req.Available}
-	for id, f := range followers {
-		data, err := f.Wait(ctx)
-		if err != nil {
-			direct.Metas[id] = req.Metas[id]
-			continue
-		}
-		out[id] = data
-	}
-	if len(direct.Metas) > 0 {
-		data, err := c.fetchBlocks(ctx, direct, tr, bd)
-		if err != nil {
-			if fetchErr == nil {
-				fetchErr = err
-			}
-		} else {
-			for id, meta := range direct.Metas {
-				out[id] = data[id]
-				c.cache.Put(id, meta.Version, data[id])
-			}
-		}
-	}
-	return out, fetchErr
-}
-
-// fetchBlocks runs read phases R2 (access planning) and R3 (parallel
-// retrieval + decode) for the blocks in req, accumulating phase
-// durations into bd. Cache hits never reach this path.
-func (c *Client) fetchBlocks(ctx context.Context, req placement.PlanRequest, tr *obs.Trace, bd *model.Breakdown) (map[model.BlockID][]byte, error) {
-	metas := req.Metas
-
-	// R2: access planning.
-	t1 := time.Now()
-	sp := tr.StartSpan("plan")
-	plan, _, err := c.plan.Plan(req, c.costs())
-	sp.End()
-	if err != nil {
-		return nil, fmt.Errorf("plan access: %w", err)
-	}
-	bd.Planning += time.Since(t1).Seconds()
-	c.obs.planH.Observe(time.Since(t1).Seconds())
-
-	// R3: retrieval and decode. Site failures are discovered one fetch
-	// at a time (an RPC error opens the site's breaker), so replanning
-	// retries while the failure set keeps changing; once it stops
-	// changing, another round would reproduce the same plan, so the
-	// loop exits with the terminal error instead of spinning.
-	t2 := time.Now()
-	sp = tr.StartSpan("fetch")
-	prevFailed := c.unavailableKey()
-	chunks, err := c.fetch(ctx, plan, metas, sp)
-	for attempt := 0; err != nil && attempt < len(c.sites); attempt++ {
-		if ctx.Err() != nil {
-			break // request deadline reached: replanning cannot help
-		}
-		nowFailed := c.unavailableKey()
-		if nowFailed == prevFailed {
-			break // failure set stopped changing
-		}
-		prevFailed = nowFailed
-		c.obs.replans.Inc()
-		var planErr error
-		plan, _, planErr = c.plan.Plan(req, c.costs())
-		if planErr != nil {
-			sp.End()
-			return nil, fmt.Errorf("replan access: %w", planErr)
-		}
-		chunks, err = c.fetch(ctx, plan, metas, sp)
-	}
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	bd.Retrieve += time.Since(t2).Seconds()
-	c.obs.fetchH.Observe(time.Since(t2).Seconds())
-
-	t3 := time.Now()
-	sp = tr.StartSpan("decode")
-	// The chunk buffers have served their one hop once the blocks are
-	// decoded out of them (or decoding failed): planned, surplus and
-	// hedge chunks alike go back to the pool.
-	defer releaseChunks(chunks)
-	out := make(map[model.BlockID][]byte, len(metas))
-	for id, meta := range metas {
-		data, err := c.assemble(meta, chunks[id])
-		if err != nil {
-			sp.End()
-			return nil, fmt.Errorf("decode %s: %w", id, err)
-		}
-		out[id] = data
-	}
-	sp.End()
-	bd.Decode += time.Since(t3).Seconds()
-	c.obs.decodeH.Observe(time.Since(t3).Seconds())
-	return out, nil
-}
-
-// blockUnreadable reports whether meta's block currently cannot be
-// reconstructed: fewer healthy sites hold its chunks than a decode
-// needs. Only then may a stale cache entry stand in for the block.
-func (c *Client) blockUnreadable(meta *model.BlockMeta) bool {
-	return c.health.CountAvailable(meta.Sites) < meta.RequiredChunks()
-}
-
-// unavailableKey fingerprints the current failure set for the replan
-// loop's early-stop check.
-func (c *Client) unavailableKey() string {
-	return fmt.Sprint(c.health.Unavailable())
-}
-
-// fetchResult carries one chunk retrieval outcome. data is a bufpool
-// buffer owned by whoever holds the result.
-type fetchResult struct {
-	ref   model.ChunkRef
-	site  model.SiteID
-	data  []byte
-	err   error
-	hedge bool
-}
-
-// chunkSink carries chunk reads from the goroutines performing them to
-// the one collector that started them, and makes sure every chunk buffer
-// has exactly one owner even though the collector usually leaves before
-// the last read lands (late binding, hedging, errors): until finish the
-// collector receives from ch and owns what it receives; from then on
-// whatever is or arrives in ch is released by whoever sees it first.
-type chunkSink struct {
-	// ch is buffered for every read the collector can start, so send
-	// never blocks.
-	ch   chan fetchResult
-	done atomic.Bool
-}
-
-func newChunkSink(reads int) *chunkSink {
-	return &chunkSink{ch: make(chan fetchResult, reads)}
-}
-
-// send delivers one read's outcome. If the collector has already
-// finished, the sender releases the buffer itself: either finish's drain
-// saw this result, or done was set before the Load below.
-func (s *chunkSink) send(res fetchResult) {
-	s.ch <- res
-	if s.done.Load() {
-		s.drain()
-	}
-}
-
-// finish ends collection: results already queued and every later one
-// are released instead of received.
-func (s *chunkSink) finish() {
-	s.done.Store(true)
-	s.drain()
-}
-
-func (s *chunkSink) drain() {
-	for {
-		select {
-		case res := <-s.ch:
-			bufpool.Put(res.data)
-		default:
-			return
-		}
-	}
-}
-
-// releaseChunks returns every fetched chunk buffer left in got to the
-// pool. assemble removes the one chunk it hands out as a block first.
-func releaseChunks(got map[model.BlockID]map[int][]byte) {
-	for _, chunks := range got {
-		releaseAll(chunks)
-	}
-}
-
-// releaseAll returns one block's fetched chunk (or segment) buffers to
-// the pool.
-func releaseAll(chunks map[int][]byte) {
-	for _, data := range chunks {
-		bufpool.Put(data)
-	}
-}
-
-// fetch executes an access plan: one goroutine per accessed site issues
-// that site's chunk reads sequentially (modelling one connection per site),
-// and the caller completes as soon as every block has k chunks. In-flight
-// reads are canceled the moment the request is satisfied or fails, and
-// surplus late-binding responses are released as they trickle in. When
-// hedging is enabled, blocks still unsatisfied after the hedge threshold
-// get one extra chunk read from the cheapest not-yet-planned site.
-//
-// On success the caller owns the returned chunk buffers (releaseChunks);
-// on error they have all been released already.
-func (c *Client) fetch(ctx context.Context, plan *model.AccessPlan, metas map[model.BlockID]*model.BlockMeta, span obs.SpanRef) (map[model.BlockID]map[int][]byte, error) {
-	total := plan.ChunkCount()
-	fetchCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	// Room for every planned read plus one hedge per block.
-	results := newChunkSink(total + len(metas))
-	defer results.finish()
-	for _, site := range plan.SortedSites() {
-		refs := plan.Reads[site]
-		var siteSpan obs.SpanRef
-		if span.Active() {
-			siteSpan = span.Child("site " + strconv.FormatInt(int64(site), 10))
-		}
-		go c.fetchSite(fetchCtx, site, refs, siteSpan, results)
-	}
-
-	planned := make(map[model.BlockID]map[int]bool, len(metas))
-	for _, refs := range plan.Reads {
-		for _, ref := range refs {
-			m := planned[ref.Block]
-			if m == nil {
-				m = make(map[int]bool)
-				planned[ref.Block] = m
-			}
-			m[ref.Chunk] = true
-		}
-	}
-
-	need := make(map[model.BlockID]int, len(metas))
-	for id, meta := range metas {
-		need[id] = meta.RequiredChunks()
-	}
-	got := make(map[model.BlockID]map[int][]byte, len(metas))
-	satisfied := 0
-	failures := 0
-	fetched := 0
-	plannedSeen := 0
-	hedgesLaunched := 0
-	hedgesWon := 0
-
-	var hedgeC <-chan time.Time
-	if d := c.hedgeThreshold(); d > 0 {
-		timer := time.NewTimer(d)
-		defer timer.Stop()
-		hedgeC = timer.C
-	}
-
-	flush := func() {
-		c.obs.chunksFetched.Add(int64(fetched))
-		c.obs.fetchErrors.Add(int64(failures))
-		c.obs.lateDiscarded.Add(int64(total - plannedSeen))
-		c.obs.hedges.Add(int64(hedgesLaunched))
-		c.obs.hedgesWon.Add(int64(hedgesWon))
-		c.obs.hedgesLost.Add(int64(hedgesLaunched - hedgesWon))
-	}
-
-	outstanding := total
-	for outstanding > 0 && satisfied < len(metas) {
-		select {
-		case res := <-results.ch:
-			outstanding--
-			if !res.hedge {
-				plannedSeen++
-			}
-			if res.err != nil {
-				if errors.Is(res.err, context.Canceled) && ctx.Err() == nil {
-					continue // canceled by our own completion; not a failure
-				}
-				failures++
-				if isSiteFailure(res.err) {
-					c.health.ReportFailure(res.site)
-				}
-				continue
-			}
-			c.health.ReportSuccess(res.site)
-			fetched++
-			m := got[res.ref.Block]
-			if m == nil {
-				m = make(map[int][]byte)
-				got[res.ref.Block] = m
-			}
-			if _, dup := m[res.ref.Chunk]; dup {
-				bufpool.Put(res.data)
-				continue
-			}
-			wasSatisfied := len(m) >= need[res.ref.Block]
-			m[res.ref.Chunk] = res.data
-			if res.hedge && !wasSatisfied {
-				hedgesWon++
-			}
-			if !wasSatisfied && len(m) == need[res.ref.Block] {
-				satisfied++
-			}
-
-		case <-hedgeC:
-			hedgeC = nil
-			n := c.launchHedges(fetchCtx, metas, planned, got, need, results)
-			hedgesLaunched += n
-			outstanding += n
-
-		case <-ctx.Done():
-			c.obs.deadlines.Inc()
-			flush()
-			releaseChunks(got)
-			return nil, fmt.Errorf("core: fetch: %w", ctx.Err())
-		}
-	}
-	flush()
-
-	if satisfied < len(metas) {
-		for id := range metas {
-			if len(got[id]) < need[id] {
-				err := fmt.Errorf("%w: %s has %d of %d chunks", ErrBlockUnavailable, id, len(got[id]), need[id])
-				releaseChunks(got)
-				return nil, err
-			}
-		}
-	}
-	return got, nil
-}
-
-// fetchSite issues one site's planned reads sequentially (one connection
-// per site). After a site-level failure, the remaining refs fail fast
-// instead of being attempted, so a hung site costs at most one per-chunk
-// timeout per fetch round rather than one per planned read.
-func (c *Client) fetchSite(ctx context.Context, site model.SiteID, refs []model.ChunkRef, siteSpan obs.SpanRef, results *chunkSink) {
-	defer siteSpan.End()
-	api := c.sites[site]
-	var down error
-	if api == nil {
-		down = fmt.Errorf("%w: site %d", ErrNoSites, site)
-	}
-	for _, ref := range refs {
-		if down == nil && ctx.Err() != nil {
-			down = ctx.Err()
-		}
-		if down != nil {
-			results.send(fetchResult{ref: ref, site: site, err: down})
-			continue
-		}
-		data, err := c.readChunk(ctx, api, ref)
-		results.send(fetchResult{ref: ref, site: site, data: data, err: err})
-		if err != nil && !errors.Is(err, context.Canceled) && isSiteFailure(err) {
-			down = err
-		}
-	}
-}
-
-// hedgeThreshold returns the current hedge trigger delay: HedgeDelay when
-// fixed, else the observed fetch-latency quantile once enough requests
-// have been recorded. Zero disables hedging.
-func (c *Client) hedgeThreshold() time.Duration {
-	th := time.Duration(0)
-	if c.cfg.HedgeDelay > 0 {
-		th = c.cfg.HedgeDelay
-	} else if c.cfg.HedgeQuantile > 0 && c.cfg.HedgeQuantile < 1 && c.obs.fetchH.Count() >= hedgeMinSamples {
-		if q := c.obs.fetchH.Quantile(c.cfg.HedgeQuantile); q > 0 {
-			th = time.Duration(q * float64(time.Second))
-		}
-	}
-	// Under access-tier overload (gateway queue occupied), speculative
-	// duplicate reads only add load; shed them first.
-	if th > 0 && c.pressure.Overloaded() {
-		c.obs.hedgesSuppressed.Inc()
-		return 0
-	}
-	return th
-}
-
-// launchHedges issues at most one extra chunk read per unsatisfied block,
-// extending late binding: the hedge targets a chunk the plan did not
-// select, fetched from the cheapest available holder under the Eq. 1 cost
-// model (o_j + m_j x chunk size). Returns how many hedges were started.
-func (c *Client) launchHedges(ctx context.Context, metas map[model.BlockID]*model.BlockMeta, planned map[model.BlockID]map[int]bool, got map[model.BlockID]map[int][]byte, need map[model.BlockID]int, results *chunkSink) int {
-	costs := c.costs()
-	launched := 0
-	for id, meta := range metas {
-		if len(got[id]) >= need[id] {
-			continue
-		}
-		best := -1
-		var bestCost float64
-		for chunk, site := range meta.Sites {
-			if site == model.NoSite || planned[id][chunk] {
-				continue
-			}
-			if _, have := got[id][chunk]; have {
-				continue
-			}
-			if c.sites[site] == nil || !c.available(site) {
-				continue
-			}
-			cost := costs.OCost(site) + costs.MCost(site)*float64(meta.ChunkSize)
-			if best == -1 || cost < bestCost {
-				best, bestCost = chunk, cost
-			}
-		}
-		if best == -1 {
-			continue // no unplanned chunk left on an available site
-		}
-		ref := model.ChunkRef{Block: id, Chunk: best}
-		site := meta.Sites[best]
-		api := c.sites[site]
-		launched++
-		//lint:ignore goleak ends with the one read it performs, which honours ctx (canceled when fetch returns); the sink send never blocks
-		go func(site model.SiteID, api storage.SiteAPI, ref model.ChunkRef) {
-			data, err := c.readChunk(ctx, api, ref)
-			// The request may have been satisfied (or expired) while
-			// this hedge was in flight; the sink then releases the chunk.
-			results.send(fetchResult{ref: ref, site: site, data: data, err: err, hedge: true})
-		}(site, api, ref)
-	}
-	return launched
-}
-
-// readChunk performs one chunk read under the per-attempt deadline and
-// retry policy. Missing chunks and deadline errors are never retried on
-// the same site: the former cannot improve, and the latter already cost a
-// full ChunkTimeout, so the site is left to the breaker and replanning.
-func (c *Client) readChunk(ctx context.Context, api storage.SiteAPI, ref model.ChunkRef) ([]byte, error) {
-	var data []byte
-	var err error
-	for attempt := 0; attempt < c.cfg.Retry.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			c.obs.retries.Inc()
-			if !c.backoff(ctx, attempt) {
-				return nil, ctx.Err()
-			}
-		}
-		data, err = c.readChunkOnce(ctx, api, ref)
-		if err == nil || !retryable(err) {
-			return data, err
-		}
-	}
-	return nil, err
-}
-
-func (c *Client) readChunkOnce(ctx context.Context, api storage.SiteAPI, ref model.ChunkRef) ([]byte, error) {
-	cctx, cancel := c.chunkCtx(ctx)
-	defer cancel()
-	return api.GetChunk(cctx, ref)
-}
-
 // backoff sleeps the jittered exponential retry delay for the given
 // attempt (1-based); false when the context expired first.
 func (c *Client) backoff(ctx context.Context, attempt int) bool {
@@ -1336,51 +706,6 @@ func retryable(err error) bool {
 	return !errors.Is(err, storage.ErrChunkNotFound) &&
 		!errors.Is(err, context.Canceled) &&
 		!errors.Is(err, context.DeadlineExceeded)
-}
-
-// assemble turns fetched chunks into the original block. Striped blocks
-// (written by PutReader) interleave the data across chunks, so the
-// chunks are decoded into one k*ChunkSize window and the block gathered
-// out of it; contiguous blocks decode directly.
-//
-// The block it returns is a fresh value nobody else references, ready to
-// be shared read-only by the cache and the caller. Under replication
-// that value is one of the fetched chunks itself: it is removed from
-// chunks so the caller's releaseChunks cannot recycle it.
-func (c *Client) assemble(meta *model.BlockMeta, chunks map[int][]byte) ([]byte, error) {
-	if meta.Scheme == model.SchemeReplicated {
-		for id, data := range chunks {
-			delete(chunks, id)
-			return data, nil
-		}
-		return nil, fmt.Errorf("%w: no replica fetched", ErrBlockUnavailable)
-	}
-	if meta.StripeUnit > 0 {
-		lay := layoutOf(meta)
-		// Scratch that lives for this call only; DecodeInto overwrites
-		// every byte of it.
-		win := bufpool.Get(int(int64(meta.K) * meta.ChunkSize))
-		defer bufpool.Put(win)
-		if err := c.codec.DecodeInto(win, chunks); err != nil {
-			return nil, err
-		}
-		data := make([]byte, meta.Size)
-		if err := lay.Gather(data, win, 0, 0); err != nil {
-			return nil, err
-		}
-		return data, nil
-	}
-	return c.codec.Decode(chunks, int(meta.Size))
-}
-
-// layoutOf builds the range-addressing view of a block's chunk layout.
-func layoutOf(meta *model.BlockMeta) erasure.Layout {
-	return erasure.Layout{
-		K:          meta.K,
-		BlockSize:  meta.Size,
-		ChunkSize:  meta.ChunkSize,
-		StripeUnit: meta.StripeUnit,
-	}
 }
 
 // Delete removes a block and its chunks.

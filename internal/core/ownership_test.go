@@ -154,10 +154,10 @@ func TestReadPathReleasesEveryChunkOnce(t *testing.T) {
 			}
 			snap := reg.Snapshot()
 			if tc.cfg.Delta > 0 {
-				// 5 rounds x 2 blocks x (k+delta = 3) whole-chunk reads,
-				// plus 5 range reads of k = 2 segments.
-				if got := snap.CounterValue("client_chunks_fetched_total", "") + snap.CounterValue("client_late_binding_discarded_total", ""); got != 5*2*3+5*2 {
-					t.Fatalf("fetched+discarded = %d chunk reads, want %d: late binding did not fetch its surplus", got, 5*2*3+5*2)
+				// 5 rounds x (2 blocks + 1 range) x (k+delta = 3) chunk reads:
+				// a range is planned and late-bound like a whole block.
+				if got := snap.CounterValue("client_chunks_fetched_total", "") + snap.CounterValue("client_late_binding_discarded_total", ""); got != 5*3*3 {
+					t.Fatalf("fetched+discarded = %d chunk reads, want %d: late binding did not fetch its surplus", got, 5*3*3)
 				}
 			}
 			if tc.cfg.HedgeDelay > 0 && snap.CounterValue("client_hedged_reads_total", "") == 0 {

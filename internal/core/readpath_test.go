@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -130,6 +131,30 @@ func BenchmarkReadPathMiss(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		data, err := d.client.Get(id)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink = data
+	}
+}
+
+// BenchmarkReadPathRange is the benchmark's cold-read range op: 64 KiB at
+// a uniform offset of an uncached 1 MiB block in the contiguous layout
+// Put writes, late-bound over the in-memory transport.
+func BenchmarkReadPathRange(b *testing.B) {
+	unpoisoned(b)
+	const rangeBytes = 64 << 10
+	d := newDistributedCluster(b, 6, Config{Delta: 1, Seed: 7})
+	defer d.Close()
+	if err := d.client.Put("cold", blockData(missBlockSize, 5)); err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	b.SetBytes(rangeBytes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		data, err := d.client.GetRange(context.Background(), "cold", rng.Int63n(missBlockSize-rangeBytes+1), rangeBytes)
 		if err != nil {
 			b.Fatal(err)
 		}

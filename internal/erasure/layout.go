@@ -5,7 +5,8 @@ import (
 	"fmt"
 )
 
-// ErrRangeOutOfBounds reports a byte range outside the block.
+// ErrRangeOutOfBounds reports a byte range outside the block; core
+// re-exports it, so the module has one sentinel for the condition.
 var ErrRangeOutOfBounds = errors.New("erasure: range out of bounds")
 
 // Layout describes how one block's bytes map onto its k data chunks, so
@@ -78,8 +79,8 @@ func (l Layout) Stripes() int64 {
 // n == 0 yields the empty window (0, 0). The range must lie inside the
 // block; callers clamp against BlockSize first.
 func (l Layout) Window(off, n int64) (lo, hi int64, err error) {
-	if off < 0 || n < 0 || off+n > l.BlockSize {
-		return 0, 0, fmt.Errorf("%w: [%d, %d) of %d-byte block", ErrRangeOutOfBounds, off, off+n, l.BlockSize)
+	if off < 0 || n < 0 || off > l.BlockSize || n > l.BlockSize-off {
+		return 0, 0, fmt.Errorf("%w: [%d, +%d) of %d-byte block", ErrRangeOutOfBounds, off, n, l.BlockSize)
 	}
 	if n == 0 {
 		return 0, 0, nil

@@ -12,12 +12,12 @@ import (
 // then (if that misses) a truncation roll, so BitFlipRate+TruncateRate
 // up to 1.0 partitions the chunk population.
 //
-// Flips target payload bytes, never the 24-byte header: a flipped magic
-// would demote the frame to a legacy (pre-checksum) chunk, which is
-// indistinguishable from genuine legacy data by design and therefore
-// escapes CRC detection — see DESIGN.md §14 for why that window is
-// accepted. Truncation removes tail payload bytes, which a sealed
-// header's length field catches without reading the payload.
+// Flips target payload bytes, where every flip is damage a sealed
+// chunk's CRC must catch. The 24-byte header is left alone because not
+// every flip there is damage — the reserved word and an unsealed chunk's
+// length and CRC fields are unused — and Corrupt reports each ref it
+// returns as damaged. Truncation removes tail payload bytes, which a
+// sealed header's length field catches without reading the payload.
 type CorruptionPlan struct {
 	// BitFlipRate in [0,1] is the per-chunk probability of flipping one
 	// uniformly chosen payload bit.
@@ -52,8 +52,8 @@ func Corrupt(st storage.Store, in *Injector, plan CorruptionPlan) ([]model.Chunk
 		}
 		hit := false
 		err := mut.MutateRaw(ref, func(raw []byte) []byte {
-			payOff := storage.FramePayloadOffset(raw)
-			payLen := int64(len(raw)) - int64(payOff)
+			const payOff = storage.FrameHeaderSize
+			payLen := int64(len(raw)) - payOff
 			if payLen <= 0 {
 				return raw
 			}
@@ -63,7 +63,7 @@ func Corrupt(st storage.Store, in *Injector, plan CorruptionPlan) ([]model.Chunk
 				return raw[:int64(len(raw))-cut]
 			}
 			bit := in.pick(payLen * 8)
-			raw[int64(payOff)+bit/8] ^= 1 << uint(bit%8)
+			raw[payOff+bit/8] ^= 1 << uint(bit%8)
 			return raw
 		})
 		if err != nil {

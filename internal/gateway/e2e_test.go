@@ -5,7 +5,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,6 +17,7 @@ import (
 	"ecstore/internal/core"
 	"ecstore/internal/model"
 	"ecstore/internal/obs"
+	"ecstore/internal/wire"
 )
 
 func newGatewayCluster(t *testing.T, gwCfg Config) (*Gateway, *core.Cluster) {
@@ -149,3 +154,69 @@ func TestQuotaExhaustionMidStreamRealClient(t *testing.T) {
 
 // gwProxy recovers the shared proxy from a gateway for a second front.
 func gwProxy(g *Gateway) Proxy { return g.proxy }
+
+// TestUnboundedRangeOffsets sends ranges whose off+n wraps int64 through
+// both fronts at a real client, against a block in each state a range
+// read can find it in. At the parent commit the staged and cached blocks
+// panicked the process on a slice bound, and the uncached one sent the
+// wrapped window to every chunk holder, whose ErrShortChunk answers
+// opened their breakers and made the next plain Get infeasible.
+func TestUnboundedRangeOffsets(t *testing.T) {
+	cl, err := core.NewCluster(core.ClusterConfig{
+		NumSites: 6,
+		Client:   core.Config{K: 2, R: 2, InlineExact: true, CacheBytes: 1 << 20, PackThreshold: 64, Seed: 11},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+	gw := New(Config{DefaultTenant: &TenantConfig{RatePerSec: -1}}, cl.Client)
+	rpcFront := NewRPCServer(gw, nil)
+	httpFront := httptest.NewServer(NewHTTPHandler(gw, nil, nil))
+	t.Cleanup(httpFront.Close)
+	ctx := context.Background()
+
+	payload := bytes.Repeat([]byte("0123456789"), 200)
+	for _, id := range []model.BlockID{"uncached", "cached"} {
+		if err := gw.Put(ctx, "t", id, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := gw.Put(ctx, "t", "staged", payload[:40]); err != nil { // under PackThreshold: stays in the packer
+		t.Fatal(err)
+	}
+	if _, err := gw.Get(ctx, "t", "cached"); err != nil { // the miss that fills the cache
+		t.Fatal(err)
+	}
+
+	const hugeOff = math.MaxInt64 - 8
+	for _, id := range []string{"uncached", "cached", "staged"} {
+		e := wire.NewEncoder(64)
+		e.String("t")
+		e.String(id)
+		e.Uint64(hugeOff)
+		e.Uint64(100)
+		_, err := rpcFront.Handle(ctx, methodGwRange, e.Bytes())
+		if !errors.Is(err, core.ErrRangeOutOfBounds) {
+			t.Fatalf("rpc range of %s block: err = %v, want ErrRangeOutOfBounds", id, err)
+		}
+		for _, q := range []string{"off=9223372036854775800&len=100", "off=-1&len=1", "off=0&len=-1", "off=1&len=9223372036854775807"} {
+			resp := doReq(t, http.MethodGet, httpFront.URL+"/v1/blocks/"+id+"?"+q, "t", nil)
+			if resp.StatusCode != http.StatusRequestedRangeNotSatisfiable {
+				t.Fatalf("GET %s?%s = %d, want 416", id, q, resp.StatusCode)
+			}
+		}
+	}
+	// No site was contacted for any of them, so no breaker moved and the
+	// blocks still read whole.
+	if down := cl.Client.Health().Unavailable(); len(down) != 0 {
+		t.Fatalf("out-of-bounds ranges opened the breakers of sites %v", down)
+	}
+	for _, id := range []string{"uncached", "cached"} {
+		resp := doReq(t, http.MethodGet, httpFront.URL+"/v1/blocks/"+id, "t", nil)
+		got, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK || !bytes.Equal(got, payload) {
+			t.Fatalf("plain GET %s after the bad ranges = %d, %d bytes", id, resp.StatusCode, len(got))
+		}
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 
+	"ecstore/internal/erasure"
 	"ecstore/internal/metadata"
 	"ecstore/internal/model"
 	"ecstore/internal/obs"
@@ -134,6 +135,8 @@ func writeError(w http.ResponseWriter, err error) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 	case isNotFound(err):
 		http.Error(w, err.Error(), http.StatusNotFound)
+	case errors.Is(err, erasure.ErrRangeOutOfBounds):
+		http.Error(w, err.Error(), http.StatusRequestedRangeNotSatisfiable)
 	default:
 		http.Error(w, err.Error(), http.StatusBadGateway)
 	}

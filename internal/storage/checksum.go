@@ -28,15 +28,16 @@ import (
 // full CRC check when the window covers the whole payload. Bit rot
 // inside a partial window is the scrubber's job (Verify reads it all).
 //
-// Files written before this header existed carry no magic; they are
-// served as legacy unsealed payloads so an upgrade never bricks a store.
+// Every writer lays the header down first, so stored bytes without the
+// magic — a flipped bit, a file cut below 24 bytes — are damage and read
+// as ErrCorruptChunk like any other.
 const (
-	chunkMagic   uint32 = 0x45434B31
-	headerSize          = 24
-	flagSealed   uint32 = 1 << 0
-	offFlags            = 4
-	offLength           = 8
-	offCRC              = 16
+	chunkMagic uint32 = 0x45434B31
+	headerSize        = 24
+	flagSealed uint32 = 1 << 0
+	offFlags          = 4
+	offLength         = 8
+	offCRC            = 16
 )
 
 // castagnoli is the CRC32-C table (hardware-accelerated on amd64/arm64).
@@ -90,42 +91,33 @@ func writeHeader(raw []byte, flags uint32, length uint64, crc uint32) {
 	binary.BigEndian.PutUint32(raw[20:], 0)
 }
 
-// frameInfo describes a raw stored frame.
+// frameInfo is a raw stored frame's parsed header.
 type frameInfo struct {
-	legacy bool // no header: the whole frame is the payload
 	sealed bool
 	length uint64 // header length field (sealed only)
 	crc    uint32
 }
 
-// parseHeader classifies a raw frame without touching the payload.
-func parseHeader(raw []byte) frameInfo {
+// payloadOf splits a raw frame into its header info and payload view
+// without touching the payload.
+func payloadOf(ref model.ChunkRef, raw []byte) ([]byte, frameInfo, error) {
 	if len(raw) < headerSize || binary.BigEndian.Uint32(raw) != chunkMagic {
-		return frameInfo{legacy: true}
+		return nil, frameInfo{}, fmt.Errorf("%w: %s has no chunk header in its %d stored bytes", ErrCorruptChunk, ref, len(raw))
 	}
 	flags := binary.BigEndian.Uint32(raw[offFlags:])
-	return frameInfo{
+	return raw[headerSize:], frameInfo{
 		sealed: flags&flagSealed != 0,
 		length: binary.BigEndian.Uint64(raw[offLength:]),
 		crc:    binary.BigEndian.Uint32(raw[offCRC:]),
-	}
-}
-
-// payloadOf returns the payload view of a raw frame plus its info.
-func payloadOf(raw []byte) ([]byte, frameInfo) {
-	info := parseHeader(raw)
-	if info.legacy {
-		return raw, info
-	}
-	return raw[headerSize:], info
+	}, nil
 }
 
 // checkFrame verifies a whole raw frame: structural integrity always,
 // CRC when sealed. It returns the verification record.
 func checkFrame(ref model.ChunkRef, raw []byte) (ChunkCheck, error) {
-	payload, info := payloadOf(raw)
-	if info.legacy {
-		return ChunkCheck{Length: int64(len(payload))}, nil
+	payload, info, err := payloadOf(ref, raw)
+	if err != nil {
+		return ChunkCheck{}, err
 	}
 	if !info.sealed {
 		return ChunkCheck{Length: int64(len(payload))}, nil
@@ -141,15 +133,9 @@ func checkFrame(ref model.ChunkRef, raw []byte) (ChunkCheck, error) {
 	return ChunkCheck{Sealed: true, Length: int64(len(payload)), CRC: info.crc}, nil
 }
 
-// FramePayloadOffset returns the offset of the payload inside a raw
-// stored frame: the header size for headered frames, 0 for legacy ones.
-// The fault injector uses it to aim bit flips at payload bytes.
-func FramePayloadOffset(raw []byte) int {
-	if parseHeader(raw).legacy {
-		return 0
-	}
-	return headerSize
-}
+// FrameHeaderSize is the offset of the payload inside a raw stored
+// frame. The fault injector uses it to aim bit flips at payload bytes.
+const FrameHeaderSize = headerSize
 
 // RawMutator is the corruption hook the fault injector uses: it hands
 // the mutation function the chunk's raw stored frame (header included)

@@ -28,7 +28,7 @@ func testChecksumSuite(t *testing.T, s Store) {
 
 	// A payload bit flip is caught by Get, GetAt(full window), Verify.
 	if err := mut.MutateRaw(ref("b", 0), func(raw []byte) []byte {
-		raw[FramePayloadOffset(raw)+3] ^= 0x40
+		raw[FrameHeaderSize+3] ^= 0x40
 		return raw
 	}); err != nil {
 		t.Fatal(err)
@@ -106,29 +106,42 @@ func testChecksumSuite(t *testing.T, s Store) {
 		t.Fatalf("Verify after reopen = %+v, %v", check, err)
 	}
 
-	// Legacy (headerless) chunks: served as-is, sealable in place.
-	if err := s.Put(ref("d", 0), []byte("old data")); err != nil {
-		t.Fatal(err)
-	}
-	if err := mut.MutateRaw(ref("d", 0), func([]byte) []byte {
-		return []byte("old data") // strip the frame entirely
-	}); err != nil {
-		t.Fatal(err)
-	}
-	got, err = s.Get(ref("d", 0))
-	if err != nil || string(got) != "old data" {
-		t.Fatalf("legacy Get = %q, %v", got, err)
-	}
-	if got, err := s.GetAt(ref("d", 0), 4, 4); err != nil || string(got) != "data" {
-		t.Fatalf("legacy GetAt = %q, %v", got, err)
-	}
-	check, err = s.Seal(ref("d", 0))
-	if err != nil || !check.Sealed || check.CRC != Checksum([]byte("old data")) {
-		t.Fatalf("legacy Seal = %+v, %v", check, err)
+	// A frame without the magic is damage, not an older format: a flipped
+	// magic bit or a file cut below the header must never be served as a
+	// payload.
+	for name, damage := range map[string]func([]byte) []byte{
+		"magic-bit":  func(raw []byte) []byte { raw[1] ^= 0x04; return raw },
+		"cut-to-10B": func(raw []byte) []byte { return raw[:10] },
+	} {
+		r := ref("d-"+name, 0)
+		if err := s.Put(r, []byte("old data")); err != nil {
+			t.Fatal(err)
+		}
+		if err := mut.MutateRaw(r, damage); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := s.Get(r); !errors.Is(err, ErrCorruptChunk) {
+			t.Fatalf("%s: Get = %q, %v, want ErrCorruptChunk", name, got, err)
+		}
+		if got, err := s.GetAt(r, 0, 4); !errors.Is(err, ErrCorruptChunk) {
+			t.Fatalf("%s: GetAt = %q, %v, want ErrCorruptChunk", name, got, err)
+		}
+		if _, err := s.Verify(r); !errors.Is(err, ErrCorruptChunk) {
+			t.Fatalf("%s: Verify err = %v, want ErrCorruptChunk", name, err)
+		}
+		if _, err := s.Seal(r); !errors.Is(err, ErrCorruptChunk) {
+			t.Fatalf("%s: Seal err = %v, want ErrCorruptChunk", name, err)
+		}
+		if err := s.PutAt(r, 0, []byte("x")); !errors.Is(err, ErrCorruptChunk) {
+			t.Fatalf("%s: PutAt err = %v, want ErrCorruptChunk", name, err)
+		}
+		if err := s.Delete(r); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	// Byte accounting is payload-only for every write path above.
-	want := int64(len(data))*2 - 5 + int64(len("hello world")) + int64(len("old data"))
+	want := int64(len(data))*2 - 5 + int64(len("hello world"))
 	if b, err := s.Bytes(); err != nil || b != want {
 		t.Fatalf("Bytes = %d (%v), want %d", b, err, want)
 	}
@@ -209,7 +222,7 @@ func TestGetChunkVerifiesCRC(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := store.MutateRaw(ref("g", 0), func(raw []byte) []byte {
-		raw[FramePayloadOffset(raw)] ^= 0x80
+		raw[FrameHeaderSize] ^= 0x80
 		return raw
 	}); err != nil {
 		t.Fatal(err)

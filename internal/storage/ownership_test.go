@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -81,15 +82,18 @@ func TestStoreReadsAreCallerOwnedPoolBuffers(t *testing.T) {
 			}
 			bufpool.Put(again)
 
-			// Failed reads hold nothing.
-			if _, err := s.GetAt(ref("b", 0), 40_000, 20_000); !errors.Is(err, ErrShortChunk) {
-				t.Fatalf("err = %v, want ErrShortChunk", err)
+			// Failed reads hold nothing — including a window whose off+n
+			// wraps, as one can arrive off the wire (u64 + u32).
+			for _, w := range [][2]int64{{40_000, 20_000}, {math.MaxInt64 - 8, 100}} {
+				if _, err := s.GetAt(ref("b", 0), w[0], w[1]); !errors.Is(err, ErrShortChunk) {
+					t.Fatalf("GetAt(%d, %d) err = %v, want ErrShortChunk", w[0], w[1], err)
+				}
 			}
 			if _, err := s.Get(ref("ghost", 0)); !errors.Is(err, ErrChunkNotFound) {
 				t.Fatalf("err = %v, want ErrChunkNotFound", err)
 			}
 			if err := s.(RawMutator).MutateRaw(ref("b", 0), func(raw []byte) []byte {
-				raw[FramePayloadOffset(raw)+7] ^= 0x40
+				raw[FrameHeaderSize+7] ^= 0x40
 				return raw
 			}); err != nil {
 				t.Fatal(err)

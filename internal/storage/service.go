@@ -196,53 +196,34 @@ func (s *Service) PutChunk(ctx context.Context, ref model.ChunkRef, data []byte)
 	return nil
 }
 
-// GetChunk reads a chunk, applying the configured media throttle and
-// accounting the read for load reports. The throttle respects the
-// caller's context, so an abandoned read stops occupying the medium.
-// The returned buffer is the caller's (see SiteAPI).
+// GetChunk reads a chunk. The returned buffer is the caller's (see
+// SiteAPI).
 func (s *Service) GetChunk(ctx context.Context, ref model.ChunkRef) ([]byte, error) {
-	if err := s.checkUp(ctx); err != nil {
-		s.obs.errors.Inc()
-		return nil, err
-	}
-	start := s.cfg.Clock()
-	data, err := s.store.Get(ref)
-	if err != nil {
-		s.obs.errors.Inc()
-		if errors.Is(err, ErrCorruptChunk) {
-			s.obs.corrupt.Inc()
-		}
-		return nil, err
-	}
-	if err := s.sleep(ctx, s.cfg.ReadDelayFixed+time.Duration(len(data))*s.cfg.ReadDelayPerByte); err != nil {
-		s.obs.errors.Inc()
-		bufpool.Put(data)
-		return nil, err
-	}
-	elapsed := s.cfg.Clock().Sub(start)
-	s.mu.Lock()
-	s.bytesRead += int64(len(data))
-	s.reads++
-	s.busy += elapsed
-	s.mu.Unlock()
-	s.obs.reads.Inc()
-	s.obs.readBytes.Add(int64(len(data)))
-	s.obs.readLatency.ObserveDuration(elapsed)
-	return data, nil
+	return s.read(ctx, func() ([]byte, error) { return s.store.Get(ref) })
 }
 
 // GetChunkRange reads n bytes of a chunk starting at byte offset off —
-// the per-chunk window a stripe-range read needs. The media throttle is
-// scaled by the bytes actually served, so a range read occupies the
-// medium proportionally less than a whole-chunk read; accounting feeds
-// the same load-report window as GetChunk.
+// the per-chunk window a stripe-range read needs.
 func (s *Service) GetChunkRange(ctx context.Context, ref model.ChunkRef, off, n int64) ([]byte, error) {
+	data, err := s.read(ctx, func() ([]byte, error) { return s.store.GetAt(ref, off, n) })
+	if err == nil {
+		s.obs.rangeReads.Inc()
+	}
+	return data, err
+}
+
+// read serves one store read, applying the configured media throttle and
+// accounting the read for load reports. The throttle is scaled by the
+// bytes actually served, so a range read occupies the medium
+// proportionally less than a whole-chunk read, and it respects the
+// caller's context, so an abandoned read stops occupying the medium.
+func (s *Service) read(ctx context.Context, get func() ([]byte, error)) ([]byte, error) {
 	if err := s.checkUp(ctx); err != nil {
 		s.obs.errors.Inc()
 		return nil, err
 	}
 	start := s.cfg.Clock()
-	data, err := s.store.GetAt(ref, off, n)
+	data, err := get()
 	if err != nil {
 		s.obs.errors.Inc()
 		if errors.Is(err, ErrCorruptChunk) {
@@ -262,7 +243,6 @@ func (s *Service) GetChunkRange(ctx context.Context, ref model.ChunkRef, off, n 
 	s.busy += elapsed
 	s.mu.Unlock()
 	s.obs.reads.Inc()
-	s.obs.rangeReads.Inc()
 	s.obs.readBytes.Add(int64(len(data)))
 	s.obs.readLatency.ObserveDuration(elapsed)
 	return data, nil

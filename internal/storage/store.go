@@ -33,7 +33,6 @@
 package storage
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -83,11 +82,11 @@ type Store interface {
 	// Bytes returns the total stored payload bytes (headers excluded).
 	Bytes() (int64, error)
 	// Verify checks a chunk's stored bytes against its header: a sealed
-	// chunk's CRC and length must match, an unsealed or legacy chunk is
-	// structurally accepted. Corruption fails with ErrCorruptChunk.
+	// chunk's CRC and length must match, an unsealed chunk is structurally
+	// accepted. Corruption fails with ErrCorruptChunk.
 	Verify(ref model.ChunkRef) (ChunkCheck, error)
-	// Seal verifies a chunk and, if it is unsealed or legacy, computes
-	// and persists its authoritative length+CRC. The scrubber calls this
+	// Seal verifies a chunk and, if it is unsealed, computes and persists
+	// its authoritative length+CRC. The scrubber calls this
 	// to finish chunks landed by the streaming put path.
 	Seal(ref model.ChunkRef) (ChunkCheck, error)
 }
@@ -108,9 +107,9 @@ func NewMemStore() *MemStore {
 	return &MemStore{chunks: make(map[model.ChunkRef][]byte)}
 }
 
+// payloadLen is how many stored bytes lie past the header.
 func payloadLen(raw []byte) int64 {
-	payload, _ := payloadOf(raw)
-	return int64(len(payload))
+	return max(int64(len(raw))-headerSize, 0)
 }
 
 // Put implements Store.
@@ -128,19 +127,7 @@ func (s *MemStore) Put(ref model.ChunkRef, data []byte) error {
 
 // Get implements Store. Sealed chunks are CRC-verified on every read.
 func (s *MemStore) Get(ref model.ChunkRef) ([]byte, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	raw, ok := s.chunks[ref]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrChunkNotFound, ref)
-	}
-	if _, err := checkFrame(ref, raw); err != nil {
-		return nil, err
-	}
-	payload, _ := payloadOf(raw)
-	cp := bufpool.Get(len(payload))
-	copy(cp, payload)
-	return cp, nil
+	return s.read(ref, 0, -1)
 }
 
 // GetAt implements Store. The window is in payload coordinates. A sealed
@@ -149,25 +136,38 @@ func (s *MemStore) Get(ref model.ChunkRef) ([]byte, error) {
 // additionally CRC-verified.
 func (s *MemStore) GetAt(ref model.ChunkRef, off, n int64) ([]byte, error) {
 	if off < 0 || n < 0 {
-		return nil, fmt.Errorf("%w: [%d, %d)", ErrShortChunk, off, off+n)
+		return nil, fmt.Errorf("%w: [%d, +%d)", ErrShortChunk, off, n)
 	}
+	return s.read(ref, off, n)
+}
+
+// read serves Get (n < 0: the whole payload) and GetAt, copying the
+// window into a bufpool buffer the caller owns.
+func (s *MemStore) read(ref model.ChunkRef, off, n int64) ([]byte, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	raw, ok := s.chunks[ref]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrChunkNotFound, ref)
 	}
-	payload, info := payloadOf(raw)
-	if info.sealed && info.length != uint64(len(payload)) {
+	payload, info, err := payloadOf(ref, raw)
+	if err != nil {
+		return nil, err
+	}
+	size := int64(len(payload))
+	if info.sealed && info.length != uint64(size) {
 		return nil, fmt.Errorf("%w: %s length %d, stored %d bytes",
-			ErrCorruptChunk, ref, info.length, len(payload))
+			ErrCorruptChunk, ref, info.length, size)
 	}
-	if off+n > int64(len(payload)) {
-		return nil, fmt.Errorf("%w: %s [%d, %d) of %d", ErrShortChunk, ref, off, off+n, len(payload))
+	if n < 0 {
+		n = size
 	}
-	if off == 0 && n == int64(len(payload)) {
-		if _, err := checkFrame(ref, raw); err != nil {
-			return nil, err
+	if off > size || n > size-off {
+		return nil, fmt.Errorf("%w: %s [%d, +%d) of %d", ErrShortChunk, ref, off, n, size)
+	}
+	if info.sealed && off == 0 && n == size {
+		if got := Checksum(payload); got != info.crc {
+			return nil, fmt.Errorf("%w: %s crc %08x, want %08x", ErrCorruptChunk, ref, got, info.crc)
 		}
 	}
 	cp := bufpool.Get(int(n))
@@ -184,10 +184,12 @@ func (s *MemStore) PutAt(ref model.ChunkRef, off int64, data []byte) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	old, ok := s.chunks[ref]
 	var payload []byte
-	if ok {
-		payload, _ = payloadOf(old)
+	if old, ok := s.chunks[ref]; ok {
+		var err error
+		if payload, _, err = payloadOf(ref, old); err != nil {
+			return err
+		}
 	}
 	oldLen := int64(len(payload))
 	end := off + int64(len(data))
@@ -275,11 +277,9 @@ func (s *MemStore) Seal(ref model.ChunkRef) (ChunkCheck, error) {
 	if err != nil || check.Sealed {
 		return check, err
 	}
-	payload, _ := payloadOf(raw)
-	frame := sealFrame(payload)
-	s.chunks[ref] = frame
-	_, info := payloadOf(frame)
-	return ChunkCheck{Sealed: true, Length: int64(len(payload)), CRC: info.crc}, nil
+	payload := raw[headerSize:]
+	s.chunks[ref] = sealFrame(payload)
+	return ChunkCheck{Sealed: true, Length: int64(len(payload)), CRC: Checksum(payload)}, nil
 }
 
 // MutateRaw implements RawMutator: the fault injector's corruption hook.
@@ -384,7 +384,7 @@ func (s *DiskStore) Get(ref model.ChunkRef) ([]byte, error) {
 // scrubber's job (Verify reads everything).
 func (s *DiskStore) GetAt(ref model.ChunkRef, off, n int64) ([]byte, error) {
 	if off < 0 || n < 0 {
-		return nil, fmt.Errorf("%w: [%d, %d)", ErrShortChunk, off, off+n)
+		return nil, fmt.Errorf("%w: [%d, +%d)", ErrShortChunk, off, n)
 	}
 	return s.read(ref, off, n)
 }
@@ -405,20 +405,11 @@ func (s *DiskStore) read(ref model.ChunkRef, off, n int64) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("read chunk: %w", err)
 	}
-	payOff := int64(0)
-	paySize := st.Size()
-	info := frameInfo{legacy: true}
-	if st.Size() >= headerSize {
-		var hdr [headerSize]byte
-		if _, err := f.ReadAt(hdr[:], 0); err != nil {
-			return nil, fmt.Errorf("read chunk header: %w", err)
-		}
-		info = parseHeader(hdr[:])
-		if !info.legacy {
-			payOff = headerSize
-			paySize = st.Size() - headerSize
-		}
+	info, err := readHeader(ref, f, st.Size())
+	if err != nil {
+		return nil, err
 	}
+	paySize := st.Size() - headerSize
 	if info.sealed && info.length != uint64(paySize) {
 		return nil, fmt.Errorf("%w: %s length %d, stored %d bytes",
 			ErrCorruptChunk, ref, info.length, paySize)
@@ -426,14 +417,14 @@ func (s *DiskStore) read(ref model.ChunkRef, off, n int64) ([]byte, error) {
 	if n < 0 {
 		n = paySize
 	}
-	if off+n > paySize {
-		return nil, fmt.Errorf("%w: %s [%d, %d) of %d", ErrShortChunk, ref, off, off+n, paySize)
+	if off > paySize || n > paySize-off {
+		return nil, fmt.Errorf("%w: %s [%d, +%d) of %d", ErrShortChunk, ref, off, n, paySize)
 	}
 	buf := bufpool.Get(int(n))
-	if _, err := f.ReadAt(buf, payOff+off); err != nil {
+	if _, err := f.ReadAt(buf, headerSize+off); err != nil {
 		bufpool.Put(buf)
 		if errors.Is(err, io.EOF) {
-			return nil, fmt.Errorf("%w: %s [%d, %d)", ErrShortChunk, ref, off, off+n)
+			return nil, fmt.Errorf("%w: %s [%d, +%d)", ErrShortChunk, ref, off, n)
 		}
 		return nil, fmt.Errorf("read chunk: %w", err)
 	}
@@ -444,6 +435,17 @@ func (s *DiskStore) read(ref model.ChunkRef, off, n int64) ([]byte, error) {
 		}
 	}
 	return buf, nil
+}
+
+// readHeader parses the header of the size-byte chunk file f.
+func readHeader(ref model.ChunkRef, f *os.File, size int64) (frameInfo, error) {
+	var hdr [headerSize]byte
+	head := hdr[:min(size, headerSize)]
+	if _, err := f.ReadAt(head, 0); err != nil {
+		return frameInfo{}, fmt.Errorf("read chunk header: %w", err)
+	}
+	_, info, err := payloadOf(ref, head)
+	return info, err
 }
 
 // PutAt implements Store. Unlike Put there is no temp-and-rename: a
@@ -465,32 +467,24 @@ func (s *DiskStore) PutAt(ref model.ChunkRef, off int64, data []byte) error {
 	if err != nil {
 		return fmt.Errorf("stream chunk segment: %w", err)
 	}
-	payOff := int64(0)
-	switch {
-	case st.Size() == 0:
-		// Fresh streamed chunk: lay down an unsealed header first.
-		hdr := make([]byte, headerSize)
-		writeHeader(hdr, 0, 0, 0)
-		if _, err := f.WriteAt(hdr, 0); err != nil {
+	// A fresh streamed chunk starts under an unsealed header, and writing
+	// into a sealed one clears its seal the same way.
+	unseal := st.Size() == 0
+	if !unseal {
+		info, err := readHeader(ref, f, st.Size())
+		if err != nil {
+			return err
+		}
+		unseal = info.sealed
+	}
+	if unseal {
+		var hdr [headerSize]byte
+		writeHeader(hdr[:], 0, 0, 0)
+		if _, err := f.WriteAt(hdr[:], 0); err != nil {
 			return fmt.Errorf("stream chunk header: %w", err)
 		}
-		payOff = headerSize
-	case st.Size() >= headerSize:
-		hdr := make([]byte, headerSize)
-		if _, err := f.ReadAt(hdr, 0); err != nil {
-			return fmt.Errorf("stream chunk segment: %w", err)
-		}
-		if info := parseHeader(hdr); !info.legacy {
-			payOff = headerSize
-			if info.sealed {
-				writeHeader(hdr, 0, 0, 0)
-				if _, err := f.WriteAt(hdr, 0); err != nil {
-					return fmt.Errorf("stream chunk header: %w", err)
-				}
-			}
-		}
 	}
-	if _, err := f.WriteAt(data, payOff+off); err != nil {
+	if _, err := f.WriteAt(data, headerSize+off); err != nil {
 		return fmt.Errorf("stream chunk segment: %w", err)
 	}
 	if err := f.Close(); err != nil {
@@ -590,27 +584,9 @@ func (s *DiskStore) Bytes() (int64, error) {
 		if err != nil {
 			continue
 		}
-		size := info.Size()
-		if size >= headerSize && s.hasHeader(filepath.Join(s.dir, ent.Name())) {
-			size -= headerSize
-		}
-		total += size
+		total += max(info.Size()-headerSize, 0)
 	}
 	return total, nil
-}
-
-// hasHeader reports whether the file at path starts with the chunk magic.
-func (s *DiskStore) hasHeader(path string) bool {
-	f, err := os.Open(path)
-	if err != nil {
-		return false
-	}
-	defer func() { _ = f.Close() }()
-	var m [4]byte
-	if _, err := io.ReadFull(f, m[:]); err != nil {
-		return false
-	}
-	return binary.BigEndian.Uint32(m[:]) == chunkMagic
 }
 
 // Verify implements Store.
@@ -639,7 +615,7 @@ func (s *DiskStore) Seal(ref model.ChunkRef) (ChunkCheck, error) {
 	if err != nil || check.Sealed {
 		return check, err
 	}
-	payload, _ := payloadOf(raw)
+	payload := raw[headerSize:]
 	if err := s.Put(ref, payload); err != nil {
 		return ChunkCheck{}, err
 	}

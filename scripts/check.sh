@@ -4,7 +4,7 @@
 # wrapping, metric naming, lock-order and pool-balance rules), run the
 # quick test suite under the
 # race detector (the buffer-owning packages again in full, with bufpool's
-# poison hook on), run the read path's hit and miss benchmarks once,
+# poison hook on), run the read path's hit, miss and range benchmarks once,
 # then smoke-run the fault-tolerance example end to end
 # (degraded reads, repair, recovery), the scrubbing example (injected
 # bit rot -> nonzero scrub_corrupt_detected), the movement example (the
@@ -13,8 +13,9 @@
 # comparison on a zipfian workload, asserting the decoded-block cache
 # actually serves hits, plus the small-object packing ablation, asserting
 # a nonzero packed-block count, then the gateway smoke (live open-loop
-# sweep through the access daemon: nonzero admissions and at least one
-# shed under overload) and the simulated gateway SLO sweep (BENCH_9.json
+# sweep through the access daemon: nonzero admissions, at least one
+# shed under overload, and an int64-wrapping range answered 416 with the
+# daemon still serving) and the simulated gateway SLO sweep (BENCH_9.json
 # must contain overload rows), the metadata crash smoke (kill -9 the
 # WAL-backed metadata server mid-load, restart, verify every acked put
 # and the re-register version bump), the metadata catalog sweep

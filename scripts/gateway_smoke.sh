@@ -67,4 +67,14 @@ echo "$metrics" | grep gateway_ || true
 echo "$metrics" | grep -Eq 'gateway_admitted_total [1-9]'
 # At least one shed under overload: the bounded queue did its job.
 echo "$metrics" | grep -Eq 'gateway_shed_total\{[^}]*\} [1-9]'
+
+# A range whose off+len wraps int64 is answered 416 without reaching a
+# site, and the daemon keeps serving the same key afterwards.
+head -c 100000 /dev/urandom > "$BIN/blob"
+curl -sf -X PUT --data-binary "@$BIN/blob" "http://$HTTP/v1/blocks/smoke-range" >/dev/null
+code=$(curl -s -o /dev/null -w '%{http_code}' \
+    "http://$HTTP/v1/blocks/smoke-range?off=9223372036854775800&len=100")
+[ "$code" = 416 ]
+curl -sf "http://$HTTP/healthz" >/dev/null
+[ "$(curl -sf "http://$HTTP/v1/blocks/smoke-range" | wc -c)" -eq 100000 ]
 echo "gateway smoke ok"
