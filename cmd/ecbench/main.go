@@ -6,14 +6,13 @@
 //	ecbench -exp fig4b                # one experiment, full scale
 //	ecbench -exp all -scale quick     # everything, fast
 //	ecbench -list                     # list experiment ids
-//	ecbench -faults -scale quick      # degraded-mode read latency under injected faults
-//	ecbench -cache-bytes 33554432 -scale quick   # cache on/off comparison, same invocation
+//	ecbench -exp ab-gateway -json out.json   # also write machine-readable results
 //
 // Experiment ids follow the paper: fig1, fig4a ... fig4h, tab2, tab3,
 // plus the ablations ab-delta, ab-k, ab-w2, ab-mrate, ab-plan, ab-size,
-// ab-cache, ab-codec, ab-range, ab-pack, ab-scrub (codec/range/pack exercise the real
-// data path — codec throughput, whole-block Get vs GetRange, and
-// small-object packing — rather than the simulator).
+// ab-cache, ab-scrub and ab-gateway. Every one runs on the simulator,
+// which alone reaches the paper's 32-site scale in virtual time; the real
+// data path is measured by the benchmark/ harness and the unit tests.
 package main
 
 import (
@@ -29,104 +28,37 @@ import (
 
 type runner func(bench.Scale) (*bench.Report, error)
 
+// exp adapts an experiment's typed result away: ecbench only prints the
+// rendered report (and marshals its Data for -json).
+func exp[T any](f func(bench.Scale) (*bench.Report, T, error)) runner {
+	return func(sc bench.Scale) (*bench.Report, error) {
+		r, _, err := f(sc)
+		return r, err
+	}
+}
+
 func runners() map[string]runner {
 	return map[string]runner{
-		"fig1": func(sc bench.Scale) (*bench.Report, error) {
-			r, _, err := bench.Fig1(sc)
-			return r, err
-		},
-		"fig4a": func(sc bench.Scale) (*bench.Report, error) {
-			r, _, err := bench.Fig4a(sc)
-			return r, err
-		},
-		"fig4b": func(sc bench.Scale) (*bench.Report, error) {
-			r, _, err := bench.Fig4b(sc)
-			return r, err
-		},
-		"fig4c": func(sc bench.Scale) (*bench.Report, error) {
-			r, _, err := bench.Fig4c(sc)
-			return r, err
-		},
-		"fig4d": func(sc bench.Scale) (*bench.Report, error) {
-			r, _, err := bench.Fig4d(sc)
-			return r, err
-		},
-		"fig4e": func(sc bench.Scale) (*bench.Report, error) {
-			r, _, err := bench.Fig4e(sc)
-			return r, err
-		},
-		"fig4f": func(sc bench.Scale) (*bench.Report, error) {
-			r, _, err := bench.Fig4f(sc)
-			return r, err
-		},
-		"fig4g": func(sc bench.Scale) (*bench.Report, error) {
-			r, _, err := bench.Fig4g(sc)
-			return r, err
-		},
-		"fig4h": func(sc bench.Scale) (*bench.Report, error) {
-			r, _, err := bench.Fig4h(sc)
-			return r, err
-		},
-		"tab2": func(sc bench.Scale) (*bench.Report, error) {
-			r, _, err := bench.Table2(sc)
-			return r, err
-		},
-		"tab3": func(sc bench.Scale) (*bench.Report, error) {
-			r, _, err := bench.Table3(sc)
-			return r, err
-		},
-		"ab-delta": func(sc bench.Scale) (*bench.Report, error) {
-			r, _, err := bench.AblationDelta(sc)
-			return r, err
-		},
-		"ab-k": func(sc bench.Scale) (*bench.Report, error) {
-			r, _, err := bench.AblationK(sc)
-			return r, err
-		},
-		"ab-w2": func(sc bench.Scale) (*bench.Report, error) {
-			r, _, err := bench.AblationW2(sc)
-			return r, err
-		},
-		"ab-mrate": func(sc bench.Scale) (*bench.Report, error) {
-			r, _, err := bench.AblationMoverRate(sc)
-			return r, err
-		},
-		"ab-plan": func(sc bench.Scale) (*bench.Report, error) {
-			r, _, err := bench.AblationPlanQuality(sc)
-			return r, err
-		},
-		"ab-size": func(sc bench.Scale) (*bench.Report, error) {
-			r, _, err := bench.AblationBlockSize(sc)
-			return r, err
-		},
-		"ab-cache": func(sc bench.Scale) (*bench.Report, error) {
-			r, _, err := bench.AblationCache(sc)
-			return r, err
-		},
-		"ab-scrub": func(sc bench.Scale) (*bench.Report, error) {
-			r, _, err := bench.AblationScrub(sc)
-			return r, err
-		},
-		"ab-codec": func(sc bench.Scale) (*bench.Report, error) {
-			r, _, err := bench.AblationCodec(sc)
-			return r, err
-		},
-		"ab-range": func(sc bench.Scale) (*bench.Report, error) {
-			r, _, err := bench.AblationRange(sc)
-			return r, err
-		},
-		"ab-pack": func(sc bench.Scale) (*bench.Report, error) {
-			r, _, err := bench.AblationPack(sc)
-			return r, err
-		},
-		"ab-gateway": func(sc bench.Scale) (*bench.Report, error) {
-			r, _, err := bench.AblationGateway(sc)
-			return r, err
-		},
-		"ab-meta": func(sc bench.Scale) (*bench.Report, error) {
-			r, _, err := bench.AblationMeta(sc)
-			return r, err
-		},
+		"fig1":       exp(bench.Fig1),
+		"fig4a":      exp(bench.Fig4a),
+		"fig4b":      exp(bench.Fig4b),
+		"fig4c":      exp(bench.Fig4c),
+		"fig4d":      exp(bench.Fig4d),
+		"fig4e":      exp(bench.Fig4e),
+		"fig4f":      exp(bench.Fig4f),
+		"fig4g":      exp(bench.Fig4g),
+		"fig4h":      exp(bench.Fig4h),
+		"tab2":       exp(bench.Table2),
+		"tab3":       exp(bench.Table3),
+		"ab-delta":   exp(bench.AblationDelta),
+		"ab-k":       exp(bench.AblationK),
+		"ab-w2":      exp(bench.AblationW2),
+		"ab-mrate":   exp(bench.AblationMoverRate),
+		"ab-plan":    exp(bench.AblationPlanQuality),
+		"ab-size":    exp(bench.AblationBlockSize),
+		"ab-cache":   exp(bench.AblationCache),
+		"ab-scrub":   exp(bench.AblationScrub),
+		"ab-gateway": exp(bench.AblationGateway),
 	}
 }
 
@@ -139,27 +71,13 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("ecbench", flag.ContinueOnError)
-	exp := fs.String("exp", "all", "experiment id (or 'all')")
-	mode := fs.String("mode", "", "alias for -exp")
+	expID := fs.String("exp", "all", "experiment id (or 'all')")
 	scaleName := fs.String("scale", "full", "experiment scale: quick | mid | full")
 	seed := fs.Int64("seed", 42, "simulation seed")
 	list := fs.Bool("list", false, "list experiment ids and exit")
-	faultsOnly := fs.Bool("faults", false, "measure degraded-mode read latency under injected faults and exit")
-	cacheBytes := fs.Int64("cache-bytes", 0, "run a cache on/off comparison with this byte budget and exit")
-	jsonOut := fs.String("json", "", "write machine-readable results to this file (ab-gateway defaults to BENCH_9.json, ab-meta to BENCH_10.json)")
-	gwAddr := fs.String("gateway", "", "sweep a live gateway over HTTP at this base URL (e.g. http://localhost:8080) and exit")
-	gwTenant := fs.String("gw-tenant", "", "tenant header for the live gateway sweep (empty = default)")
-	gwRates := fs.String("gw-rates", "50,200,1000", "comma-separated offered rates (req/s) for the live gateway sweep")
-	gwDur := fs.Duration("gw-duration", 2*time.Second, "duration of each live gateway sweep point")
+	jsonOut := fs.String("json", "", "also write machine-readable results to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *mode != "" {
-		*exp = *mode
-	}
-
-	if *gwAddr != "" {
-		return runGatewaySweep(*gwAddr, *gwTenant, *gwRates, *gwDur)
 	}
 
 	all := runners()
@@ -188,45 +106,12 @@ func run(args []string) error {
 		return fmt.Errorf("unknown scale %q", *scaleName)
 	}
 
-	if *cacheBytes < 0 {
-		return fmt.Errorf("-cache-bytes must be non-negative, got %d", *cacheBytes)
-	}
-	if *cacheBytes > 0 {
-		start := time.Now()
-		report, _, err := bench.CacheComparison(sc, *cacheBytes)
-		if err != nil {
-			return err
+	selected := ids
+	if *expID != "all" {
+		if _, ok := all[*expID]; !ok {
+			return fmt.Errorf("unknown experiment %q (use -list)", *expID)
 		}
-		fmt.Println(report)
-		fmt.Printf("(%s scale, seed %d, %s)\n", sc.Name, sc.Seed, time.Since(start).Round(time.Millisecond))
-		return nil
-	}
-
-	if *faultsOnly {
-		start := time.Now()
-		report, err := bench.DegradedMode(sc)
-		if err != nil {
-			return err
-		}
-		fmt.Println(report)
-		fmt.Printf("(%s scale, seed %d, %s)\n", sc.Name, sc.Seed, time.Since(start).Round(time.Millisecond))
-		return nil
-	}
-
-	var selected []string
-	if *exp == "all" {
-		selected = ids
-	} else {
-		if _, ok := all[*exp]; !ok {
-			return fmt.Errorf("unknown experiment %q (use -list)", *exp)
-		}
-		selected = []string{*exp}
-	}
-	if *jsonOut == "" && *exp == "ab-gateway" {
-		*jsonOut = "BENCH_9.json"
-	}
-	if *jsonOut == "" && *exp == "ab-meta" {
-		*jsonOut = "BENCH_10.json"
+		selected = []string{*expID}
 	}
 
 	var reports []*bench.Report
@@ -251,7 +136,7 @@ func run(args []string) error {
 
 // writeJSON emits the run's machine-readable results: one object per
 // report, each carrying its raw sweep data, under the scale/seed that
-// produced them. A single-report run (e.g. -mode ab-gateway) still
+// produced them. A single-report run (e.g. -exp ab-gateway) still
 // writes the array form so consumers parse one shape.
 func writeJSON(path string, sc bench.Scale, reports []*bench.Report) error {
 	doc := struct {

@@ -1,23 +1,30 @@
 package main
 
-import "testing"
+import (
+	"sort"
+	"testing"
+)
 
 func TestRunnersCoverExperimentIndex(t *testing.T) {
-	// Every experiment id promised by DESIGN.md's index must exist.
+	// Exactly the simulator experiments DESIGN.md's index promises: the
+	// paper's figures and tables plus the simulator ablations.
 	want := []string{
+		"ab-cache", "ab-delta", "ab-gateway", "ab-k", "ab-mrate",
+		"ab-plan", "ab-scrub", "ab-size", "ab-w2",
 		"fig1", "fig4a", "fig4b", "fig4c", "fig4d", "fig4e", "fig4f",
 		"fig4g", "fig4h", "tab2", "tab3",
-		"ab-delta", "ab-k", "ab-w2", "ab-mrate", "ab-plan", "ab-size",
-		"ab-cache", "ab-codec", "ab-range", "ab-pack", "ab-scrub",
-		"ab-gateway", "ab-meta",
 	}
-	all := runners()
-	if len(all) != len(want) {
-		t.Fatalf("have %d runners, want %d", len(all), len(want))
+	var have []string
+	for id := range runners() {
+		have = append(have, id)
 	}
-	for _, id := range want {
-		if _, ok := all[id]; !ok {
-			t.Errorf("missing runner %q", id)
+	sort.Strings(have)
+	if len(have) != len(want) {
+		t.Fatalf("runners = %v, want %v", have, want)
+	}
+	for i := range want {
+		if have[i] != want[i] {
+			t.Fatalf("runners = %v, want %v", have, want)
 		}
 	}
 }
@@ -35,7 +42,10 @@ func TestRunArgumentValidation(t *testing.T) {
 	if err := run([]string{"-scale", "galactic", "-exp", "fig1"}); err == nil {
 		t.Fatal("unknown scale accepted")
 	}
-	if err := run([]string{"-cache-bytes", "-5", "-scale", "quick"}); err == nil {
-		t.Fatal("negative cache budget accepted")
+	// The live gateway sweep and the -exp alias are gone.
+	for _, flag := range []string{"-gateway", "-mode"} {
+		if err := run([]string{flag, "x", "-list"}); err == nil {
+			t.Fatalf("%s accepted", flag)
+		}
 	}
 }

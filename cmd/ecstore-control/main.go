@@ -194,6 +194,9 @@ func runDaemon(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unknown subcommand %q (want drain, scrub or tasks)", fs.Arg(0))
+	}
 	if *sitesCSV == "" {
 		return errors.New("-sites is required")
 	}

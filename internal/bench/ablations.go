@@ -3,10 +3,7 @@ package bench
 import (
 	"fmt"
 	"strings"
-	"time"
 
-	"ecstore/internal/erasure"
-	"ecstore/internal/gf256"
 	"ecstore/internal/model"
 	"ecstore/internal/placement"
 	"ecstore/internal/sim"
@@ -226,9 +223,11 @@ func AblationBlockSize(sc Scale) (*Report, map[string]float64, error) {
 // and p99 columns read directly as the cache tier's contribution;
 // hot-cover is the fraction of the statistics service's 64 hottest
 // blocks resident in the cache at the end of the run (how well
-// stats-driven admission tracks the hot set).
-func AblationCache(sc Scale) (*Report, map[int64]float64, error) {
+// stats-driven admission tracks the hot set), and hits= the raw count of
+// reads the cache served. The returned map holds each budget's result.
+func AblationCache(sc Scale) (*Report, map[int64]*sim.Result, error) {
 	out := make(map[int64]float64)
+	results := make(map[int64]*sim.Result)
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-10s %12s %12s %8s %10s\n", "budget", "mean", "p99", "hit", "hot-cover")
 	for _, budget := range []int64{0, 8 << 20, 32 << 20, 128 << 20} {
@@ -249,162 +248,15 @@ func AblationCache(sc Scale) (*Report, map[int64]float64, error) {
 		wl := workload.NewYCSBE(sc.Blocks, 20, 1.0)
 		res := cl.Run(wl, sc.Warmup, sc.Adapt, sc.Measure)
 		out[budget] = res.Mean.Total()
+		results[budget] = res
 		label := "off"
 		if budget > 0 {
 			label = fmt.Sprintf("%dMB", budget>>20)
 		}
-		fmt.Fprintf(&b, "%-10s %10.2fms %10.2fms %7.1f%% %9.1f%%\n",
+		fmt.Fprintf(&b, "%-10s %10.2fms %10.2fms %7.1f%% %9.1f%%  hits=%d\n",
 			label, res.Mean.Total()*1000, res.Metrics.Percentile(99)*1000,
-			100*res.CacheHitRatio(), 100*cl.CacheHotCoverage(64))
+			100*res.CacheHitRatio(), 100*cl.CacheHotCoverage(64), res.CacheHits)
 	}
 	rep := &Report{ID: "ab-cache", Title: "Decoded-block cache budget sweep (EC+C+M+LB, YCSB-E 100 KB)", Body: b.String(), Data: out}
-	return rep, out, nil
-}
-
-// AblationCodec measures the real erasure codec's throughput on 1 MB
-// blocks with the platform wide kernel on versus the scalar fallback —
-// unlike the other ablations it exercises the actual data path, not the
-// simulator's cost model. Results are wall-clock dependent; the table is
-// for relative comparison (the speedup column), not regression pinning.
-// The returned map keys are "<op>-kernel" and "<op>-scalar" in MB/s.
-func AblationCodec(sc Scale) (*Report, map[string]float64, error) {
-	// Scale the measured work with the population knob so -scale quick
-	// stays quick; each op moves iters MB per mode.
-	iters := sc.Blocks / 200
-	if iters < 5 {
-		iters = 5
-	}
-	if iters > 50 {
-		iters = 50
-	}
-	const blockLen = 1 << 20
-	data := make([]byte, blockLen)
-	for i := range data {
-		data[i] = byte(i*7 + 3)
-	}
-
-	ops := []struct {
-		key, label string
-		k, r       int
-		mode       string
-	}{
-		{"encode-rs22", "RS(2,2) encode", 2, 2, "encode"},
-		{"decode-healthy-rs22", "RS(2,2) decode healthy", 2, 2, "healthy"},
-		{"decode-degraded-rs22", "RS(2,2) decode degraded", 2, 2, "degraded"},
-		{"encode-rs63", "RS(6,3) encode", 6, 3, "encode"},
-	}
-	out := make(map[string]float64)
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-24s %12s %12s %8s\n", "operation (1MB block)", "kernel", "scalar", "speedup")
-	for _, o := range ops {
-		var mbps [2]float64
-		for i, accel := range []bool{true, false} {
-			prev := gf256.SetAccel(accel)
-			v, err := codecThroughput(o.k, o.r, data, o.mode, iters)
-			gf256.SetAccel(prev)
-			if err != nil {
-				return nil, nil, err
-			}
-			mbps[i] = v
-		}
-		out[o.key+"-kernel"] = mbps[0]
-		out[o.key+"-scalar"] = mbps[1]
-		fmt.Fprintf(&b, "%-24s %8.0f MB/s %8.0f MB/s %7.1fx\n", o.label, mbps[0], mbps[1], mbps[0]/mbps[1])
-	}
-	fmt.Fprintf(&b, "wide kernel: %s\n", gf256.Kernel())
-	rep := &Report{ID: "ab-codec", Title: "Erasure codec throughput, wide kernel vs scalar (real codec, not simulated)", Body: b.String(), Data: out}
-	return rep, out, nil
-}
-
-// codecThroughput times iters runs of one codec operation over data and
-// returns MB/s of block bytes processed.
-func codecThroughput(k, r int, data []byte, mode string, iters int) (float64, error) {
-	codec, err := erasure.NewCodec(k, r)
-	if err != nil {
-		return 0, err
-	}
-	dst := make([]byte, len(data))
-	var available map[int][]byte
-	if mode != "encode" {
-		chunks, err := codec.Encode(data)
-		if err != nil {
-			return 0, err
-		}
-		available = make(map[int][]byte, k+r)
-		for i, ch := range chunks {
-			available[i] = ch
-		}
-		if mode == "degraded" {
-			// Losing data chunk 0 forces matrix inversion and k kernel
-			// passes for the missing prefix.
-			delete(available, 0)
-		}
-	}
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		switch mode {
-		case "encode":
-			st, err := codec.EncodePooled(data)
-			if err != nil {
-				return 0, err
-			}
-			st.Release()
-		default:
-			if err := codec.DecodeInto(dst, available); err != nil {
-				return 0, err
-			}
-		}
-	}
-	secs := time.Since(start).Seconds()
-	if secs <= 0 {
-		secs = 1e-9
-	}
-	return float64(iters) * float64(len(data)) / (1 << 20) / secs, nil
-}
-
-// CacheComparison runs the full EC-Store configuration (EC+C+M+LB) twice
-// in a single invocation — cache off, then cache on with the given byte
-// budget — over a skewed (zipfian) YCSB-E workload, so the two rows are
-// directly comparable. It returns the rendered report plus the two mean
-// latencies keyed by budget (0 = off). The body prints raw hit counts so
-// scripted smoke tests can assert the cache actually served reads.
-func CacheComparison(sc Scale, budget int64) (*Report, map[int64]float64, error) {
-	if budget <= 0 {
-		return nil, nil, fmt.Errorf("cache comparison needs a positive budget, got %d", budget)
-	}
-	out := make(map[int64]float64)
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-10s %12s %12s %12s %10s %8s\n", "cache", "mean", "p99", "hits", "misses", "ratio")
-	for _, bytes := range []int64{0, budget} {
-		opt := sim.Options{
-			Scheme:     model.SchemeErasure,
-			Strategy:   placement.StrategyCost,
-			Mover:      true,
-			Delta:      1,
-			CacheBytes: bytes,
-		}
-		cl, err := sim.New(sim.DefaultParams(sc.Seed), opt)
-		if err != nil {
-			return nil, nil, err
-		}
-		if _, err := cl.Populate(sc.Blocks, func(int) int64 { return BlockSize100KB }); err != nil {
-			return nil, nil, err
-		}
-		wl := workload.NewYCSBE(sc.Blocks, 20, 1.0)
-		res := cl.Run(wl, sc.Warmup, sc.Adapt, sc.Measure)
-		out[bytes] = res.Mean.Total()
-		label := "off"
-		if bytes > 0 {
-			label = fmt.Sprintf("%dMB", bytes>>20)
-		}
-		fmt.Fprintf(&b, "%-10s %10.2fms %10.2fms hits=%-6d misses=%-6d %6.1f%%\n",
-			label, res.Mean.Total()*1000, res.Metrics.Percentile(99)*1000,
-			res.CacheHits, res.CacheMisses, 100*res.CacheHitRatio())
-	}
-	rep := &Report{
-		ID:    "cache-cmp",
-		Title: fmt.Sprintf("Block cache on/off comparison (%d MB budget, EC+C+M+LB, zipfian YCSB-E)", budget>>20),
-		Body:  b.String(),
-	}
-	return rep, out, nil
+	return rep, results, nil
 }

@@ -5,11 +5,17 @@ import (
 	"testing"
 )
 
+// tinyGatewayScale sizes the open-loop sweep; -short halves the
+// simulated time.
 func tinyGatewayScale() Scale {
+	if testing.Short() {
+		return Scale{Name: "short", Blocks: 1000, Warmup: 0.5, Measure: 1, Seed: 42}
+	}
 	return Scale{Name: "tiny", Blocks: 1000, Warmup: 1, Measure: 2, Seed: 42}
 }
 
 func TestAblationGatewaySweep(t *testing.T) {
+	t.Parallel()
 	rep, sweep, err := AblationGateway(tinyGatewayScale())
 	if err != nil {
 		t.Fatal(err)
@@ -24,8 +30,8 @@ func TestAblationGatewaySweep(t *testing.T) {
 		t.Fatalf("no sustainable rate found: %+v", sweep.Points)
 	}
 	last := sweep.Points[len(sweep.Points)-1]
-	if last.Shed == 0 {
-		t.Fatalf("final overload point shed nothing: %+v", last)
+	if last.Shed == 0 || last.SLOMet {
+		t.Fatalf("final point is not an overload row (shed, SLO missed): %+v", last)
 	}
 	// The finite queue must bound the overload tail: the sweep stops at
 	// 4× the SLO, and even that point's p99 must be finite and recorded.
@@ -40,6 +46,7 @@ func TestAblationGatewaySweep(t *testing.T) {
 }
 
 func TestAblationGatewayDeterministic(t *testing.T) {
+	t.Parallel()
 	_, a, err := AblationGateway(tinyGatewayScale())
 	if err != nil {
 		t.Fatal(err)

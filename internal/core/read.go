@@ -484,14 +484,14 @@ func (c *Client) fetchBlocks(ctx context.Context, s readSet, tr *obs.Trace, bd *
 	// loop exits with the terminal error instead of spinning.
 	t2 := time.Now()
 	sp = tr.StartSpan("fetch")
-	prevFailed := c.unavailableKey()
+	prevFailed := c.health.Unavailable()
 	chunks, err := c.fetch(ctx, plan, s, sp)
 	for attempt := 0; err != nil && attempt < len(c.sites); attempt++ {
 		if ctx.Err() != nil {
 			break // request deadline reached: replanning cannot help
 		}
-		nowFailed := c.unavailableKey()
-		if nowFailed == prevFailed {
+		nowFailed := c.health.Unavailable()
+		if slices.Equal(nowFailed, prevFailed) {
 			break // failure set stopped changing
 		}
 		prevFailed = nowFailed
@@ -537,12 +537,6 @@ func (c *Client) fetchBlocks(ctx context.Context, s readSet, tr *obs.Trace, bd *
 // needs. Only then may a stale cache entry stand in for the block.
 func (c *Client) blockUnreadable(meta *model.BlockMeta) bool {
 	return c.health.CountAvailable(meta.Sites) < meta.RequiredChunks()
-}
-
-// unavailableKey fingerprints the current failure set for the replan
-// loop's early-stop check.
-func (c *Client) unavailableKey() string {
-	return fmt.Sprint(c.health.Unavailable())
 }
 
 // fetchResult carries one chunk retrieval outcome. data is a bufpool

@@ -373,7 +373,25 @@ func TestPackingCapacitySealsAutomatically(t *testing.T) {
 		}
 	}
 	// 16 KiB staged at 8 KiB capacity: at least one container sealed.
-	if n := reg.Snapshot().CounterValue("pack_sealed_total", ""); n == 0 {
+	sealed := reg.Snapshot().CounterValue("pack_sealed_total", "")
+	if sealed == 0 {
 		t.Fatal("no container sealed at capacity")
+	}
+	// Only sealed containers own chunks, k+r each: fewer chunk writes than
+	// the 4 × (k+r) the same blocks would cost unpacked.
+	perBlock := c.Client.totalChunks()
+	var chunks int
+	for _, svc := range c.Services {
+		refs, err := svc.ListChunks(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chunks += len(refs)
+	}
+	if chunks != int(sealed)*perBlock {
+		t.Fatalf("%d chunks on sites, want %d sealed containers × %d", chunks, sealed, perBlock)
+	}
+	if chunks >= 4*perBlock {
+		t.Fatalf("%d chunks packed, not below the unpacked %d", chunks, 4*perBlock)
 	}
 }

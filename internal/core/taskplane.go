@@ -433,10 +433,3 @@ func (c *Cluster) FailZone(zone string) {
 		c.FailSite(id)
 	}
 }
-
-// RecoverZone heals every site in a zone.
-func (c *Cluster) RecoverZone(zone string) {
-	for _, id := range c.ZoneSites(zone) {
-		c.RecoverSite(id)
-	}
-}

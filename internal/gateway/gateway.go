@@ -152,9 +152,6 @@ func (g *Gateway) Pressure() *health.Pressure { return g.pressure }
 // QueueDepth returns the current admission-queue depth.
 func (g *Gateway) QueueDepth() int { return g.adm.queueDepth() }
 
-// Inflight returns how many requests currently hold proxy slots.
-func (g *Gateway) Inflight() int { return g.adm.inflight() }
-
 // TenantBytes returns the quota bytes a tenant has spent so far (0 for
 // tenants that never connected).
 func (g *Gateway) TenantBytes(name string) int64 {

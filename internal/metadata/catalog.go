@@ -125,8 +125,7 @@ func NewCatalog(sites []model.SiteID) *Catalog {
 }
 
 // NewCatalogParts returns an empty volatile catalog with an explicit
-// partition count (the ab-meta ablation sweeps it; 1 reproduces the old
-// single-lock catalog).
+// partition count (1 reproduces the old single-lock catalog).
 func NewCatalogParts(sites []model.SiteID, partitions int) *Catalog {
 	if partitions < 1 {
 		partitions = 1

@@ -111,6 +111,14 @@ func TestOpenRecoversFullState(t *testing.T) {
 	r := mustOpen(t, dir, WALOptions{Partitions: 4})
 	defer func() { _ = r.Close() }()
 	requireEqualState(t, want, dumpState(r, ids))
+	// Close does not compact, so the state came back by replaying the
+	// log: at least one record per registered block, over all partitions.
+	if replayed, _ := r.ReplayStats(); replayed < int64(len(ids)) {
+		t.Fatalf("recovery replayed %d records for %d registers", replayed, len(ids))
+	}
+	if r.Partitions() != 4 {
+		t.Fatalf("partitions = %d after recovery, want 4", r.Partitions())
+	}
 	if v, ok := r.RetiredVersion("b"); !ok || v != 0 {
 		t.Fatalf("retired watermark for b = %d, %v", v, ok)
 	}

@@ -546,8 +546,8 @@ func (w *walSet) flusher() {
 }
 
 // ReplayStats reports how many WAL records boot recovery replayed and
-// how many torn segment tails it discarded, for operators (and the
-// ab-meta bench) to gauge recovery work. Both are zero for volatile
+// how many torn segment tails it discarded, for operators to gauge
+// recovery work. Both are zero for volatile
 // catalogs and for boots that loaded only snapshots.
 func (c *Catalog) ReplayStats() (records, tornTails int64) {
 	if c.wal == nil {

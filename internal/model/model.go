@@ -90,7 +90,7 @@ type BlockMeta struct {
 	// stripe t holds block bytes [t*K*StripeUnit, (t+1)*K*StripeUnit) and
 	// contributes StripeUnit bytes at offset t*StripeUnit of every chunk.
 	// ChunkSize is then a whole multiple of StripeUnit. Zero means the
-	// legacy contiguous layout (chunk c holds block bytes
+	// contiguous layout (chunk c holds block bytes
 	// [c*ChunkSize, (c+1)*ChunkSize)).
 	StripeUnit int64
 

@@ -165,8 +165,7 @@ type Options struct {
 	ScrubBytesPerSec float64
 	// CatalogPartitions shards the metadata catalog into this many
 	// independently locked partitions (metadata.DefaultPartitions when
-	// zero). The ab-meta ablation sweeps it to expose metadata-plane
-	// contention at catalog scale.
+	// zero).
 	CatalogPartitions int
 }
 

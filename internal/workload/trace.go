@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"strconv"
 	"strings"
 
 	"ecstore/internal/model"
@@ -83,29 +82,4 @@ func (t *Trace) NextRequest(_ *rand.Rand) []model.BlockID {
 	out := make([]model.BlockID, len(req))
 	copy(out, req)
 	return out
-}
-
-// WriteTrace serializes requests in ParseTrace's format, so synthetic
-// workloads can be captured and replayed.
-func WriteTrace(w io.Writer, requests [][]model.BlockID) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "# ecstore trace: %s requests\n", strconv.Itoa(len(requests))); err != nil {
-		return err
-	}
-	for _, req := range requests {
-		for i, id := range req {
-			if i > 0 {
-				if err := bw.WriteByte(' '); err != nil {
-					return err
-				}
-			}
-			if _, err := bw.WriteString(string(id)); err != nil {
-				return err
-			}
-		}
-		if err := bw.WriteByte('\n'); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
 }

