@@ -25,12 +25,12 @@ import (
 	"io"
 	"log"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
 
 	"ecstore/internal/core"
+	"ecstore/internal/health"
 	"ecstore/internal/metadata"
 	"ecstore/internal/model"
 	"ecstore/internal/obs"
@@ -234,15 +234,14 @@ func run(args []string) error {
 				m.ID, m.Version, m.Size, m.Scheme, m.K, m.R, m.Sites)
 			return nil
 		}
+		// One probe round; each site's breaker then says whether it answered.
 		client.ProbeAll()
 		fmt.Printf("sites: %d configured\n", len(sites))
-		for id, api := range sites {
-			pctx, pcancel := context.WithTimeout(context.Background(), 2*time.Second)
+		for _, id := range model.SortedSites(sites) {
 			status := "up"
-			if api.Probe(pctx) != nil {
+			if client.Health().State(id) != health.Closed {
 				status = "DOWN"
 			}
-			pcancel()
 			fmt.Printf("  site %d: %s\n", id, status)
 		}
 		st := client.PlannerStats()
@@ -291,14 +290,8 @@ func parseRange(s string) (off, n int64, err error) {
 // process).
 func clusterStats(w io.Writer, client *core.Client, reg *obs.Registry, meta *metadata.Client,
 	siteClients map[model.SiteID]*storage.Client, tcp *transport.TCP, controlAddr string, full bool) error {
-	ids := make([]model.SiteID, 0, len(siteClients))
-	for id := range siteClients {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-
 	fmt.Fprintln(w, "== sites ==")
-	for _, id := range ids {
+	for _, id := range model.SortedSites(siteClients) {
 		snap, err := siteClients[id].Metrics()
 		if err != nil {
 			fmt.Fprintf(w, "site %d: unreachable (%v)\n", id, err)

@@ -19,7 +19,6 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -32,7 +31,6 @@ import (
 	"time"
 
 	"ecstore/internal/core"
-	"ecstore/internal/health"
 	"ecstore/internal/metadata"
 	"ecstore/internal/model"
 	"ecstore/internal/obs"
@@ -91,25 +89,10 @@ func runDrain(args []string) error {
 		return err
 	}
 	defer closeMeta()
-	id := model.SiteID(*site)
-	info := meta.SiteInfos()[id]
-	info.ID = id
-	if info.State == model.SiteActive {
-		info.State = model.SiteDraining
-		if err := meta.SetSiteInfo(info); err != nil {
-			return fmt.Errorf("mark site draining: %w", err)
-		}
+	if err := core.EnqueueDrain(meta, tasks.New(tasks.Config{Store: meta}), model.SiteID(*site)); err != nil {
+		return err
 	}
-	if err := meta.PutTask(&model.TaskRecord{
-		ID:       fmt.Sprintf("drain-site-%d", id),
-		Type:     model.TaskTypeDrainSite,
-		Site:     id,
-		Priority: model.PriorityDrain,
-		State:    model.TaskPending,
-	}); err != nil {
-		return fmt.Errorf("enqueue drain: %w", err)
-	}
-	fmt.Printf("site %d: draining; drain task enqueued\n", id)
+	fmt.Printf("site %d: draining; drain task enqueued\n", *site)
 	return nil
 }
 
@@ -126,29 +109,11 @@ func runScrub(args []string) error {
 		return err
 	}
 	defer closeMeta()
-	var targets []model.SiteID
-	if *site > 0 {
-		targets = []model.SiteID{model.SiteID(*site)}
-	} else {
-		infos := meta.SiteInfos()
-		for _, id := range meta.Sites() {
-			if infos[id].State == model.SiteActive {
-				targets = append(targets, id)
-			}
-		}
+	n, err := core.EnqueueScrub(meta, tasks.New(tasks.Config{Store: meta}), model.SiteID(*site))
+	if err != nil {
+		return err
 	}
-	for _, id := range targets {
-		if err := meta.PutTask(&model.TaskRecord{
-			ID:       fmt.Sprintf("scrub-site-%d", id),
-			Type:     model.TaskTypeScrubSite,
-			Site:     id,
-			Priority: model.PriorityScrub,
-			State:    model.TaskPending,
-		}); err != nil {
-			return fmt.Errorf("enqueue scrub of site %d: %w", id, err)
-		}
-	}
-	fmt.Printf("scrub enqueued for %d site(s)\n", len(targets))
+	fmt.Printf("scrub enqueued for %d site(s)\n", n)
 	return nil
 }
 
@@ -177,7 +142,45 @@ func runTasks(args []string) error {
 	return nil
 }
 
+// runDaemon runs the control plane until interrupted.
 func runDaemon(args []string) error {
+	d, err := startDaemon(args)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	<-sig
+	if d.ctl.Mover != nil {
+		moved, failed := d.ctl.Mover.Moves()
+		fmt.Printf("mover: %d moved, %d failed\n", moved, failed)
+	}
+	if d.ctl.Repair != nil {
+		fmt.Printf("repair: %d chunks reconstructed\n", d.ctl.Repair.Repaired())
+	}
+	return nil
+}
+
+// daemon is a running control plane: its statistics service address, the
+// plane itself, and what Close tears down, in reverse order.
+type daemon struct {
+	addr    net.Addr
+	ctl     *core.Control
+	closers []func()
+}
+
+// Close stops the scheduler, the statistics service and every connection.
+func (d *daemon) Close() {
+	for i := len(d.closers) - 1; i >= 0; i-- {
+		d.closers[i]()
+	}
+}
+
+// startDaemon parses the daemon flags, dials the metadata server and
+// every site, builds the control plane with core.NewControl, serves its
+// statistics RPC and starts the scheduler.
+func startDaemon(args []string) (_ *daemon, err error) {
 	fs := flag.NewFlagSet("ecstore-control", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:7105", "statistics service listen address")
 	metaAddr := fs.String("meta", "127.0.0.1:7100", "metadata server address")
@@ -186,149 +189,90 @@ func runDaemon(args []string) error {
 	enableRepair := fs.Bool("repair", false, "run the repair service")
 	enableScrub := fs.Bool("scrub", false, "run the periodic checksum scrubber")
 	moverInterval := fs.Duration("mover-interval", time.Second, "pause between movement attempts")
-	statsInterval := fs.Duration("stats-interval", 5*time.Second, "load report collection period")
+	statsInterval := fs.Duration("stats-interval", 5*time.Second, "probe round period (breakers, o_j, load reports, repair sweep)")
 	repairGrace := fs.Duration("repair-grace", 15*time.Minute, "grace before reconstructing a failed site")
 	scrubInterval := fs.Duration("scrub-interval", time.Hour, "pause between scrub sweeps")
 	taskBytesPerSec := fs.Int64("task-bytes-per-sec", 0, "background task I/O budget in bytes/sec (0 = unthrottled)")
 	metricsAddr := fs.String("metrics-addr", "", "HTTP address for /metrics (empty = disabled)")
 	if err := fs.Parse(args); err != nil {
-		return err
+		return nil, err
 	}
 	if fs.NArg() > 0 {
-		return fmt.Errorf("unknown subcommand %q (want drain, scrub or tasks)", fs.Arg(0))
+		return nil, fmt.Errorf("unknown subcommand %q (want drain, scrub or tasks)", fs.Arg(0))
 	}
 	if *sitesCSV == "" {
-		return errors.New("-sites is required")
+		return nil, errors.New("-sites is required")
 	}
 
-	reg := obs.NewRegistry()
-	tcp := &transport.TCP{Metrics: transport.NewMetrics(reg)}
-
-	// Metadata client.
-	conn, err := tcp.Dial(*metaAddr)
-	if err != nil {
-		return fmt.Errorf("connect metadata: %w", err)
-	}
-	metaRPC := rpc.NewClient(conn)
-	defer func() { _ = metaRPC.Close() }()
-	meta := metadata.NewClient(metaRPC)
-
-	// Storage site clients.
-	sites := make(map[model.SiteID]storage.SiteAPI)
-	var rpcClients []*rpc.Client
+	d := &daemon{}
 	defer func() {
-		for _, c := range rpcClients {
-			_ = c.Close()
+		if err != nil {
+			d.Close()
 		}
 	}()
-	for i, siteAddr := range strings.Split(*sitesCSV, ",") {
-		conn, err := tcp.Dial(strings.TrimSpace(siteAddr))
+	reg := obs.NewRegistry()
+	tcp := &transport.TCP{Metrics: transport.NewMetrics(reg)}
+	dial := func(addr string) (*rpc.Client, error) {
+		conn, err := tcp.Dial(addr)
 		if err != nil {
-			return fmt.Errorf("connect site %d (%s): %w", i+1, siteAddr, err)
+			return nil, err
 		}
 		rc := rpc.NewClient(conn)
-		rpcClients = append(rpcClients, rc)
+		d.closers = append(d.closers, func() { _ = rc.Close() })
+		return rc, nil
+	}
+	metaRPC, err := dial(*metaAddr)
+	if err != nil {
+		return nil, fmt.Errorf("connect metadata: %w", err)
+	}
+	sites := make(map[model.SiteID]storage.SiteAPI)
+	for i, siteAddr := range strings.Split(*sitesCSV, ",") {
+		rc, err := dial(strings.TrimSpace(siteAddr))
+		if err != nil {
+			return nil, fmt.Errorf("connect site %d (%s): %w", i+1, siteAddr, err)
+		}
 		sites[model.SiteID(i+1)] = storage.NewRPCClient(rc)
 	}
 
-	// Statistics service: local aggregator + RPC server for clients.
-	agg := stats.NewAggregator(0)
-	agg.EnableMetrics(reg)
+	// The metadata server's task table is the scheduler's durable queue,
+	// so tasks enqueued by the subcommands above (or left over from a
+	// previous daemon run) are picked up here.
+	d.ctl = core.NewControl(core.ClusterConfig{
+		EnableMover:     *enableMover,
+		MoverInterval:   *moverInterval,
+		EnableRepair:    *enableRepair,
+		RepairGrace:     *repairGrace,
+		EnableScrub:     *enableScrub,
+		ScrubInterval:   *scrubInterval,
+		TaskBytesPerSec: *taskBytesPerSec,
+		StatsInterval:   *statsInterval,
+		Metrics:         reg,
+	}, metadata.NewClient(metaRPC), sites)
+
 	l, err := tcp.Listen(*addr)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	statsSrv := rpc.NewServer(stats.NewServer(agg))
+	statsSrv := rpc.NewServer(stats.NewServer(d.ctl.Aggregator))
 	statsSrv.SetMetrics(rpc.NewMetrics(reg, "rpc_server"))
-	//lint:ignore goleak accept loop; unblocked by the deferred statsSrv.Close on every return path
+	//lint:ignore goleak accept loop; unblocked by statsSrv.Close in daemon.Close
 	go func() { _ = statsSrv.Serve(l) }()
-	defer func() { _ = statsSrv.Close() }()
+	d.closers = append(d.closers, func() { _ = statsSrv.Close() })
+	d.addr = l.Addr()
 
 	if *metricsAddr != "" {
 		ml, err := net.Listen("tcp", *metricsAddr)
 		if err != nil {
-			return fmt.Errorf("metrics listener: %w", err)
+			return nil, fmt.Errorf("metrics listener: %w", err)
 		}
 		fmt.Printf("metrics on http://%s/metrics\n", ml.Addr())
 		//lint:ignore goleak metrics endpoint serves for the process lifetime by design
 		go func() { _ = obs.Serve(ml, reg, nil) }()
 	}
 
-	// The unified background scheduler: the metadata server's task table
-	// is its durable queue, so tasks enqueued by the subcommands above
-	// (or left over from a previous daemon run) are picked up here.
-	sched := tasks.New(tasks.Config{
-		Store:       meta,
-		BytesPerSec: *taskBytesPerSec,
-		Metrics:     reg,
-	})
-
-	// One breaker set for every background executor, fed by the stats
-	// source's probe round below (and by the repair sweep's own probes):
-	// destinations are restricted to sites whose breaker is closed.
-	tracker := health.NewTracker(health.Config{Metrics: reg})
-
-	var mover *core.MoverRunner
-	if *enableMover {
-		mover = core.NewMoverRunner(core.MoverRunnerConfig{Metrics: reg},
-			meta, sites, tracker, agg.CoAccess, agg.Loads, agg.Probes)
-	}
-	var repairSvc *core.Repairer
-	if *enableRepair {
-		repairSvc = core.NewRepairer(meta, sites, agg.Loads, tracker, *repairGrace, reg)
-	}
-	scrubber := core.NewScrubber(meta, sites, sched.Enqueue, reg)
-	drainer := core.NewDrainer(meta, sites, agg.Loads, tracker, reg)
-	scrubEvery := time.Duration(0)
-	if *enableScrub {
-		scrubEvery = *scrubInterval
-	}
-	core.BuildTaskPlane(sched, core.TaskPlaneOptions{
-		Repair:        repairSvc,
-		Mover:         mover,
-		MoverInterval: *moverInterval,
-		Scrub:         scrubber,
-		ScrubInterval: scrubEvery,
-		Meta:          meta,
-		Drain:         drainer,
-		Stats: func(ctx context.Context) {
-			for id, api := range sites {
-				if !tracker.AllowProbe(id) {
-					continue // open breaker: known down until its backoff expires
-				}
-				pctx, pcancel := context.WithTimeout(ctx, 2*time.Second)
-				start := time.Now()
-				if err := api.Probe(pctx); err != nil {
-					tracker.ReportFailure(id)
-					pcancel()
-					continue
-				}
-				tracker.ReportSuccess(id)
-				agg.ObserveProbe(id, time.Since(start).Seconds())
-				if load, err := api.LoadReport(pctx); err == nil {
-					agg.ReportLoad(id, load)
-				}
-				pcancel()
-			}
-		},
-		StatsInterval: *statsInterval,
-	})
-	sched.Start()
-	defer sched.Stop()
-
+	d.ctl.Start()
+	d.closers = append(d.closers, d.ctl.Stop)
 	fmt.Printf("ecstore-control: stats on %s, %d sites, mover=%v repair=%v scrub=%v\n",
-		l.Addr(), len(sites), *enableMover, *enableRepair, *enableScrub)
-
-	// Run until interrupted.
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	if mover != nil {
-		moved, failed := mover.Moves()
-		fmt.Printf("mover: %d moved, %d failed\n", moved, failed)
-	}
-	if repairSvc != nil {
-		fmt.Printf("repair: %d chunks reconstructed\n", repairSvc.Repaired())
-	}
-	return nil
+		d.addr, len(sites), *enableMover, *enableRepair, *enableScrub)
+	return d, nil
 }

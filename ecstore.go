@@ -118,8 +118,8 @@ type Config struct {
 	EnableScrub bool
 	// ScrubInterval is the scrub sweep cadence (default 1 minute).
 	ScrubInterval time.Duration
-	// Background starts the control loops (stats collection, mover,
-	// repair) on Open. When false, call Tick to drive them manually —
+	// Background starts the control loops (probe round, mover, repair)
+	// on Open. When false, call Tick to drive them manually —
 	// useful for tests and deterministic examples.
 	Background bool
 	// Seed drives all randomized choices.
@@ -199,8 +199,7 @@ func Open(cfg Config) (*Cluster, error) {
 		return nil, err
 	}
 	if cfg.Background {
-		//lint:ignore ctxfirst context-free public facade: background loops live until Close; core.Cluster.Start offers the ctx-aware entry
-		inner.Start(context.Background())
+		inner.Start()
 	}
 	return &Cluster{inner: inner}, nil
 }
@@ -253,8 +252,8 @@ func (c *Cluster) Delete(id BlockID) error {
 	return c.inner.Client.Delete(id)
 }
 
-// Tick drives one synchronous control-plane round (stats collection, one
-// movement attempt, one repair check). Use when Background is false.
+// Tick drives one synchronous control-plane round (one probe round and
+// repair check, one movement attempt). Use when Background is false.
 //
 //lint:ignore ctxfirst context-free public facade; core.Cluster.Tick offers the ctx-aware entry
 func (c *Cluster) Tick() { c.inner.Tick(context.Background()) }

@@ -216,7 +216,6 @@ type Client struct {
 
 	coaccess *stats.CoAccessTracker
 	probes   *stats.ProbeEstimator
-	sink     AccessSink
 	zones    func() map[model.SiteID]model.SiteInfo
 
 	// cache is the optional decoded-block tier (nil-safe: a nil cache
@@ -232,8 +231,8 @@ type Client struct {
 	health   *health.Tracker
 	pressure *health.Pressure // nil unless an access tier feeds one
 
-	rngMu sync.Mutex
-	rng   *rand.Rand
+	retry *retrier
+	probe *prober
 }
 
 // clientObs is the client's instrument set; every field is nil-safe so an
@@ -247,7 +246,6 @@ type clientObs struct {
 	fetchErrors      *obs.Counter
 	lateDiscarded    *obs.Counter
 	replans          *obs.Counter
-	retries          *obs.Counter
 	hedges           *obs.Counter
 	hedgesWon        *obs.Counter
 	hedgesLost       *obs.Counter
@@ -287,7 +285,6 @@ func newClientObs(reg *obs.Registry) clientObs {
 		fetchErrors:      reg.Counter("client_fetch_errors_total", "chunk reads that failed"),
 		lateDiscarded:    reg.Counter("client_late_binding_discarded_total", "surplus chunk responses discarded by late binding"),
 		replans:          reg.Counter("client_replans_total", "re-planning rounds after mid-read site failures"),
-		retries:          reg.Counter("client_retries_total", "chunk and probe attempts retried after transient errors"),
 		hedges:           reg.Counter("client_hedged_reads_total", "extra chunk reads issued for slow blocks"),
 		hedgesWon:        reg.Counter("client_hedges_won_total", "hedged reads whose chunk was used"),
 		hedgesLost:       reg.Counter("client_hedges_lost_total", "hedged reads that arrived too late, failed or were discarded"),
@@ -332,12 +329,6 @@ func newCodecMetrics(reg *obs.Registry) *erasure.Metrics {
 	}
 }
 
-// AccessSink receives sampled multi-block requests, e.g. a remote
-// statistics service in a distributed deployment.
-type AccessSink interface {
-	RecordAccess(ids []model.BlockID) error
-}
-
 // Deps wires the client to the rest of the system.
 type Deps struct {
 	Meta  metadata.Service
@@ -353,9 +344,6 @@ type Deps struct {
 	// repair service so every component skips unhealthy sites
 	// consistently. Nil creates a private tracker.
 	Health *health.Tracker
-	// Sink additionally receives each request's block set (optional),
-	// feeding a remote statistics service.
-	Sink AccessSink
 	// Zones optionally supplies the per-site zone and drain-state view
 	// (catalog SiteInfos). When set, writes skip draining and
 	// decommissioned sites and cap chunks per failure zone at
@@ -442,15 +430,15 @@ func NewClient(cfg Config, deps Deps) (*Client, error) {
 		placer:   placer,
 		coaccess: coaccess,
 		probes:   probes,
-		sink:     deps.Sink,
 		zones:    deps.Zones,
 		cache:    blockCache,
 		obs:      newClientObs(deps.Metrics),
 		tracer:   deps.Tracer,
 		health:   tracker,
 		pressure: deps.Pressure,
-		rng:      rand.New(rand.NewSource(cfg.Seed + 2)),
+		retry:    newRetrier(cfg, deps.Metrics),
 	}
+	cl.probe = &prober{cfg: cfg, sites: deps.Sites, health: tracker, retry: cl.retry, observe: probes.Observe}
 	if cfg.PackThreshold > 0 && cfg.Scheme == model.SchemeErasure {
 		cl.packer = newPacker(cl)
 	}
@@ -678,16 +666,34 @@ func (c *Client) cleanupChunks(ctx context.Context, id model.BlockID, chosen []m
 	c.obs.putCleanups.Inc()
 }
 
-// backoff sleeps the jittered exponential retry delay for the given
-// attempt (1-based); false when the context expired first.
-func (c *Client) backoff(ctx context.Context, attempt int) bool {
-	d := c.cfg.Retry.BaseBackoff << uint(attempt-1)
-	if d > c.cfg.Retry.MaxBackoff || d <= 0 {
-		d = c.cfg.Retry.MaxBackoff
+// retrier spaces chunk-read and probe retries by cfg.Retry's jittered
+// exponential backoff and counts them.
+type retrier struct {
+	policy  RetryPolicy
+	retries *obs.Counter
+	mu      sync.Mutex
+	rng     *rand.Rand
+}
+
+func newRetrier(cfg Config, reg *obs.Registry) *retrier {
+	return &retrier{
+		policy:  cfg.Retry,
+		retries: reg.Counter("client_retries_total", "chunk and probe attempts retried after transient errors"),
+		rng:     rand.New(rand.NewSource(cfg.Seed + 2)),
 	}
-	c.rngMu.Lock()
-	jitter := time.Duration(c.rng.Int63n(int64(d)/2 + 1))
-	c.rngMu.Unlock()
+}
+
+// wait counts one retry and sleeps its backoff before the given attempt
+// (1-based); false when the context expired first.
+func (r *retrier) wait(ctx context.Context, attempt int) bool {
+	r.retries.Inc()
+	d := r.policy.BaseBackoff << uint(attempt-1)
+	if d > r.policy.MaxBackoff || d <= 0 {
+		d = r.policy.MaxBackoff
+	}
+	r.mu.Lock()
+	jitter := time.Duration(r.rng.Int63n(int64(d)/2 + 1))
+	r.mu.Unlock()
 	t := time.NewTimer(d + jitter)
 	defer t.Stop()
 	select {
@@ -762,59 +768,7 @@ func (c *Client) ProbeAll() { c.ProbeAllContext(context.Background()) }
 
 // ProbeAllContext is ProbeAll under a caller-supplied context. Each probe
 // additionally carries the configured ProbeTimeout.
-func (c *Client) ProbeAllContext(ctx context.Context) {
-	var wg sync.WaitGroup
-	for _, id := range c.siteIDs() {
-		api := c.sites[id]
-		if api == nil || !c.health.AllowProbe(id) {
-			continue
-		}
-		wg.Add(1)
-		go func(id model.SiteID, api storage.SiteAPI) {
-			defer wg.Done()
-			c.probeSite(ctx, id, api)
-		}(id, api)
-	}
-	wg.Wait()
-}
-
-// probeSite runs one site's probe with the retry policy and per-probe
-// timeout, reporting the outcome to the breaker and, on success, the
-// measured RTT to the o_j estimator.
-func (c *Client) probeSite(ctx context.Context, id model.SiteID, api storage.SiteAPI) {
-	var err error
-	for attempt := 0; attempt < c.cfg.Retry.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			c.obs.retries.Inc()
-			if !c.backoff(ctx, attempt) {
-				break
-			}
-		}
-		start := time.Now()
-		err = c.probeOnce(ctx, api)
-		if err == nil {
-			c.health.ReportSuccess(id)
-			c.probes.Observe(id, scaleRTT(time.Since(start).Seconds(), c.cfg.DefaultO))
-			return
-		}
-		if !retryable(err) {
-			break
-		}
-	}
-	c.health.ReportFailure(id)
-}
-
-func (c *Client) probeOnce(ctx context.Context, api storage.SiteAPI) error {
-	pctx, cancel := context.WithTimeout(ctx, c.cfg.ProbeTimeout)
-	defer cancel()
-	return api.Probe(pctx)
-}
-
-// scaleRTT converts a measured probe RTT in seconds into cost-model units,
-// normalizing so an idle-probe RTT of ~1ms maps near DefaultO.
-func scaleRTT(rttSeconds, defaultO float64) float64 {
-	return rttSeconds / 0.001 * defaultO
-}
+func (c *Client) ProbeAllContext(ctx context.Context) { c.probe.round(ctx) }
 
 // place selects destination sites for a new block's chunks under the
 // shared eligibility rule. With a zone view wired (Deps.Zones), draining
@@ -831,7 +785,7 @@ func (c *Client) place(chunks int) ([]model.SiteID, error) {
 	return c.placer.Place(c.siteIDs(), chunks, rule.ForBlock(nil, -1, model.MaxChunksPerZone(c.cfg.R)))
 }
 
-func (c *Client) siteIDs() []model.SiteID { return sortedSiteIDs(c.sites) }
+func (c *Client) siteIDs() []model.SiteID { return model.SortedSites(c.sites) }
 
 // isSiteFailure classifies an error as a site-level failure (as opposed to
 // a missing chunk, which indicates stale metadata rather than an outage).

@@ -10,14 +10,14 @@ import (
 	"ecstore/internal/model"
 	"ecstore/internal/obs"
 	"ecstore/internal/placement"
-	"ecstore/internal/stats"
 	"ecstore/internal/storage"
-	"ecstore/internal/tasks"
 )
 
 // ClusterConfig assembles a complete single-process EC-Store deployment:
 // N storage services, a metadata catalog, the statistics trackers, a
-// client, and optionally the chunk mover and repair service.
+// client, and optionally the chunk mover and repair service. NewControl
+// reads its background-plane fields, so ecstore-control configures its
+// plane with the same type.
 type ClusterConfig struct {
 	// NumSites is the data-plane size (the paper's testbed uses 32).
 	NumSites int
@@ -31,8 +31,6 @@ type ClusterConfig struct {
 	EnableRepair bool
 	// RepairGrace overrides the 15-minute default grace period.
 	RepairGrace time.Duration
-	// RepairProbeInterval is the liveness sweep cadence; zero means 5s.
-	RepairProbeInterval time.Duration
 	// EnableScrub runs the periodic checksum scrubber over every active
 	// site. Scrub-site tasks can also be enqueued on demand (ScrubSite)
 	// without the periodic sweep.
@@ -47,7 +45,8 @@ type ClusterConfig struct {
 	// and drain then cap chunks per zone at model.MaxChunksPerZone(R).
 	// Zero leaves every site zone-less.
 	Zones int
-	// StatsInterval is the load-report collection period; zero means 2s.
+	// StatsInterval is the probe round's period (breakers, o_j, load
+	// reports and the repair sweep); zero means 2s.
 	StatsInterval time.Duration
 	// ReadDelayPerByte/ReadDelayFixed emulate storage media on each site.
 	ReadDelayPerByte time.Duration
@@ -69,34 +68,20 @@ type ClusterConfig struct {
 // Cluster is a fully wired in-process EC-Store instance: every paper
 // component (storage sites, metadata catalog, statistics trackers, client,
 // chunk mover, repair service) sharing one address space. Examples and
-// integration tests use it directly; cmd/ binaries wire the same pieces
-// over RPC instead.
+// integration tests use it directly; the cmd/ binaries wire the same
+// pieces over RPC, ecstore-control through the same NewControl.
 type Cluster struct {
+	// Control is the background plane; its statistics trackers (CoAccess,
+	// Loads, Probes), Health, Tasks, Mover, Repair and Scrub are shared
+	// with Client by pointer.
+	*Control
 	Catalog  *metadata.Catalog
 	Services map[model.SiteID]*storage.Service
 	Client   *Client
-	CoAccess *stats.CoAccessTracker
-	Loads    *stats.LoadTracker
-	Probes   *stats.ProbeEstimator
-	Mover    *MoverRunner
-	Repair   *Repairer
-	// Tasks is the unified background scheduler: repair, movement,
-	// scrubbing and drains all run as its task types.
-	Tasks *tasks.Scheduler
-	// Scrub verifies at-rest checksums site by site (scrub-site tasks).
-	Scrub *Scrubber
-	// Health is the breaker set shared by client, mover and repair.
-	Health *health.Tracker
 	// Metrics is the shared registry (nil when observability is off) and
 	// Tracer the per-request trace collector backed by it.
 	Metrics *obs.Registry
 	Tracer  *obs.Tracer
-
-	drainer       *Drainer
-	sources       []func(ctx context.Context)
-	statsInterval time.Duration
-	moverInterval time.Duration
-	started       bool
 }
 
 // NewCluster builds and wires a cluster.
@@ -131,20 +116,17 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		apis[id] = svc
 	}
 
-	coaccess := stats.NewCoAccessTracker(0)
-	loads := stats.NewLoadTracker()
-	probes := stats.NewProbeEstimator(0.3)
-	healthCfg := cfg.Health
-	healthCfg.Metrics = cfg.Metrics
-	tracker := health.NewTracker(healthCfg)
-
+	// The control plane's scheduler coordinates through the catalog's
+	// durable task table, so tasks survive restarts and CLIs can enqueue
+	// work. The client shares its statistics and breakers by pointer.
+	ctl := NewControl(cfg, catalog, apis)
 	client, err := NewClient(cfg.Client, Deps{
 		Meta:     catalog,
 		Sites:    apis,
-		CoAccess: coaccess,
-		Probes:   probes,
-		Loads:    loads,
-		Health:   tracker,
+		CoAccess: ctl.CoAccess,
+		Probes:   ctl.Probes,
+		Loads:    ctl.Loads,
+		Health:   ctl.Health,
 		Pressure: cfg.Pressure,
 		Metrics:  cfg.Metrics,
 		Tracer:   tracer,
@@ -155,65 +137,13 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 
 	c := &Cluster{
-		Catalog:       catalog,
-		Services:      services,
-		Client:        client,
-		CoAccess:      coaccess,
-		Loads:         loads,
-		Probes:        probes,
-		Health:        tracker,
-		Metrics:       cfg.Metrics,
-		Tracer:        tracer,
-		statsInterval: cfg.StatsInterval,
-		moverInterval: cfg.MoverInterval,
+		Control:  ctl,
+		Catalog:  catalog,
+		Services: services,
+		Client:   client,
+		Metrics:  cfg.Metrics,
+		Tracer:   tracer,
 	}
-	if c.statsInterval == 0 {
-		c.statsInterval = 2 * time.Second
-	}
-	if c.moverInterval == 0 {
-		c.moverInterval = time.Second
-	}
-
-	// The unified scheduler coordinates through the catalog's durable
-	// task table, so tasks survive restarts and CLIs can enqueue work.
-	c.Tasks = tasks.New(tasks.Config{
-		Store:       catalog,
-		BytesPerSec: cfg.TaskBytesPerSec,
-		Metrics:     cfg.Metrics,
-	})
-
-	if cfg.EnableMover {
-		c.Mover = NewMoverRunner(MoverRunnerConfig{
-			DefaultO: cfg.Client.DefaultO,
-			DefaultM: cfg.Client.DefaultM,
-			Metrics:  cfg.Metrics,
-		}, catalog, apis, tracker, coaccess, loads, probes)
-	}
-	if cfg.EnableRepair {
-		c.Repair = NewRepairer(catalog, apis, loads, tracker, cfg.RepairGrace, cfg.Metrics)
-	}
-	c.Scrub = NewScrubber(catalog, apis, c.Tasks.Enqueue, cfg.Metrics)
-	c.drainer = NewDrainer(catalog, apis, loads, tracker, cfg.Metrics)
-	scrubEvery := time.Duration(0)
-	if cfg.EnableScrub {
-		scrubEvery = cfg.ScrubInterval
-		if scrubEvery <= 0 {
-			scrubEvery = time.Minute
-		}
-	}
-	c.sources = BuildTaskPlane(c.Tasks, TaskPlaneOptions{
-		Repair:              c.Repair,
-		RepairProbeInterval: cfg.RepairProbeInterval,
-		Mover:               c.Mover,
-		MoverInterval:       c.moverInterval,
-		Scrub:               c.Scrub,
-		ScrubInterval:       scrubEvery,
-		Meta:                catalog,
-		Drain:               c.drainer,
-		Stats:               c.CollectStats,
-		StatsInterval:       c.statsInterval,
-	})
-
 	if cfg.Zones > 0 {
 		if err := c.SetZones(cfg.Zones); err != nil {
 			return nil, err
@@ -222,54 +152,10 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	return c, nil
 }
 
-// Start launches the background control plane: one scheduler loop whose
-// sources (stats collection, repair sweeps, move planning, scrub sweeps)
-// fire at their own cadence and whose tasks run under the shared
-// concurrency caps and byte throttle. The cluster is usable without
-// Start; Tick drives one full round synchronously instead. The ctx
-// parameter is retained for signature compatibility; task contexts come
-// from the scheduler.
-func (c *Cluster) Start(ctx context.Context) {
-	_ = ctx
-	if c.started {
-		return
-	}
-	c.started = true
-	c.Tasks.Start()
-}
-
 // Close stops the background control plane and releases resources.
 func (c *Cluster) Close() {
-	if c.started {
-		c.Tasks.Stop()
-		c.started = false
-	}
+	c.Stop()
 	c.Client.Close()
-}
-
-// CollectStats performs one statistics round: every live site's load
-// report feeds the load tracker, and a probe round refreshes o_j.
-func (c *Cluster) CollectStats(ctx context.Context) {
-	for id, svc := range c.Services {
-		load, err := svc.LoadReport(ctx)
-		if err != nil {
-			continue // failed sites keep their last report
-		}
-		c.Loads.Report(id, load)
-	}
-	c.Client.ProbeAllContext(ctx)
-}
-
-// Tick drives one synchronous control-plane round: every source fires
-// regardless of cadence (stats collection, repair sweep, move planning,
-// scrub sweep — duplicate enqueues deduplicate against live task rows),
-// then the scheduler runs the queue to quiescence. Deterministic
-// alternative to Start for tests.
-func (c *Cluster) Tick(ctx context.Context) {
-	for _, fn := range c.sources {
-		fn(ctx)
-	}
-	c.Tasks.RunOnce(ctx)
 }
 
 // FailSite injects a failure at a site.

@@ -325,8 +325,8 @@ func TestMoverExecuteStalePlan(t *testing.T) {
 
 func TestClusterSchedulerStartStop(t *testing.T) {
 	c := newTestCluster(t, ClusterConfig{NumSites: 6, EnableMover: true, MoverInterval: time.Millisecond})
-	c.Start(context.Background())
-	c.Start(context.Background()) // idempotent
+	c.Start()
+	c.Start() // idempotent
 	time.Sleep(5 * time.Millisecond)
 	c.Close()
 	c.Close() // idempotent
@@ -362,7 +362,7 @@ func TestClusterStartStop(t *testing.T) {
 	if err := c.Client.Put("x", blockData(64, 1)); err != nil {
 		t.Fatal(err)
 	}
-	c.Start(context.Background())
+	c.Start()
 	time.Sleep(10 * time.Millisecond)
 	c.Close()
 }

@@ -19,6 +19,8 @@ import (
 // multi-process topology of the cmd/ binaries.
 type distributedCluster struct {
 	client   *Client
+	meta     metadata.Service
+	sites    map[model.SiteID]storage.SiteAPI
 	services map[model.SiteID]*storage.Service
 	cleanup  []func()
 }
@@ -80,8 +82,9 @@ func newDistributedCluster(t testing.TB, numSites int, cfg Config) *distributedC
 		sites[id] = storage.NewRPCClient(rc)
 	}
 
+	d.meta, d.sites = metadata.NewClient(metaRPC), sites
 	cfg.InlineExact = true
-	client, err := NewClient(cfg, Deps{Meta: metadata.NewClient(metaRPC), Sites: sites})
+	client, err := NewClient(cfg, Deps{Meta: d.meta, Sites: sites})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,7 @@ type MoverRunnerConfig struct {
 // never lose access to a chunk mid-move. It owns no goroutine — the
 // unified scheduler in internal/tasks drives planning as a periodic
 // source and executes each plan as a move-priority task (see
-// taskplane.go).
+// control.go).
 type MoverRunner struct {
 	cfg    MoverRunnerConfig
 	ops    *relocator

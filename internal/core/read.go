@@ -181,12 +181,8 @@ func (c *Client) GetMultiContext(ctx context.Context, ids []model.BlockID) (map[
 	bd.Metadata = time.Since(t0).Seconds()
 	c.obs.metadataH.Observe(bd.Metadata)
 
-	// Feed co-access statistics (sampled request stream); statistics
-	// loss must never fail a read, so sink errors degrade silently.
+	// Feed co-access statistics (sampled request stream).
 	c.coaccess.Record(ids)
-	if c.sink != nil {
-		_ = c.sink.RecordAccess(ids)
-	}
 
 	// Sealed pack members resolve to synthesized metadata (PackedIn set):
 	// their bytes are a range of their container's. They leave metas, and
@@ -825,11 +821,8 @@ func (c *Client) readChunk(ctx context.Context, api storage.SiteAPI, ref model.C
 	var data []byte
 	var err error
 	for attempt := 0; attempt < c.cfg.Retry.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			c.obs.retries.Inc()
-			if !c.backoff(ctx, attempt) {
-				return nil, ctx.Err()
-			}
+		if attempt > 0 && !c.retry.wait(ctx, attempt) {
+			return nil, ctx.Err()
 		}
 		cctx, cancel := c.chunkCtx(ctx)
 		if r.wholeChunks() {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -75,7 +74,7 @@ func newRelocator(meta metadata.Service, sites map[model.SiteID]storage.SiteAPI,
 	return &relocator{
 		meta:    meta,
 		sites:   sites,
-		siteIDs: sortedSiteIDs(sites),
+		siteIDs: model.SortedSites(sites),
 		health:  tracker,
 		placer:  placer,
 		codecs:  make(map[[2]int]*erasure.Codec),
@@ -257,14 +256,4 @@ func (e *relocator) relocate(tc taskCtx, meta *model.BlockMeta, chunk int, dst m
 	// The old copy is unreachable once metadata points at the destination.
 	e.remove(tc, from, ref)
 	return version, nil
-}
-
-// sortedSiteIDs returns the ids of a site map in ascending order.
-func sortedSiteIDs(sites map[model.SiteID]storage.SiteAPI) []model.SiteID {
-	out := make([]model.SiteID, 0, len(sites))
-	for id := range sites {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -14,7 +14,6 @@ import (
 	"ecstore/internal/model"
 	"ecstore/internal/rpc"
 	"ecstore/internal/storage"
-	"ecstore/internal/tasks"
 )
 
 // repairCluster is a cluster whose repair fires on the first failed probe.
@@ -162,7 +161,7 @@ func TestRepairSweepHonorsGracePeriod(t *testing.T) {
 	}
 	// The clock was reset when the site came due: still down, it is not
 	// due again until another full grace period has passed.
-	if due := c.Repair.DueForRepair(context.Background()); len(due) != 0 {
+	if due := c.Repair.DueForRepair(); len(due) != 0 {
 		t.Fatalf("site due again immediately: %v", due)
 	}
 }
@@ -621,12 +620,7 @@ func TestMetadataOutageFailsTasksNotFoundFinishesThem(t *testing.T) {
 	for id, svc := range c.Services {
 		apis[id] = svc
 	}
-	sched := tasks.New(tasks.Config{Store: c.Catalog})
-	BuildTaskPlane(sched, TaskPlaneOptions{
-		Repair: NewRepairer(meta, apis, c.Loads, c.Health, 0, nil),
-		Scrub:  NewScrubber(meta, apis, sched.Enqueue, nil),
-		Drain:  NewDrainer(meta, apis, c.Loads, c.Health, nil),
-	})
+	sched := NewControl(ClusterConfig{EnableRepair: true}, meta, apis).Tasks
 	rows := func() []*model.TaskRecord {
 		return []*model.TaskRecord{
 			{ID: repairChunkTaskID(ref), Type: model.TaskTypeRepairChunk, Site: owner, Block: "blk", Priority: model.PriorityRepair},

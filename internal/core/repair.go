@@ -1,9 +1,7 @@
 package core
 
 import (
-	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -16,20 +14,17 @@ import (
 	"ecstore/internal/tasks"
 )
 
-// repairProbeTimeout bounds each liveness probe so one hung site cannot
-// stall a sweep.
-const repairProbeTimeout = 2 * time.Second
-
 // defaultRepairGrace is how long a site must stay unresponsive before
 // its chunks are rebuilt elsewhere (15 minutes in GFS and the paper).
 const defaultRepairGrace = 15 * time.Minute
 
 // Repairer is EC-Store's repair service (Section V-C) on the task plane.
-// Its failure detector is the state behind the repair-sweep source: it
-// probes every site, remembers since when each has been unresponsive and
-// reports the ones whose grace period has expired. The repair-site and
-// repair-chunk executors then rebuild lost chunks from surviving peers
-// with the engine every background relocation shares.
+// Its failure detector sends no RPC of its own: after each probe round
+// (Control's probe source) it reads the shared breakers, remembers since
+// when each site has been down and reports the ones whose grace period
+// has expired. The repair-site and repair-chunk executors then rebuild
+// lost chunks from surviving peers with the engine every background
+// relocation shares.
 type Repairer struct {
 	ops   *relocator
 	grace time.Duration
@@ -60,10 +55,10 @@ func NewRepairer(meta metadata.Service, sites map[model.SiteID]storage.SiteAPI,
 		failedSince: make(map[model.SiteID]time.Time),
 	}
 	if reg != nil {
-		r.checksC = reg.Counter("repair_checks_total", "probe sweeps over all sites")
+		r.checksC = reg.Counter("repair_checks_total", "liveness sweeps over all sites")
 		r.repairedC = reg.Counter("repair_repaired_chunks_total", "chunks reconstructed onto healthy sites")
 		r.errorsC = reg.Counter("repair_errors_total", "failed repair task attempts")
-		r.failedSites = reg.Gauge("repair_failed_sites", "sites currently marked unavailable by the repair prober")
+		r.failedSites = reg.Gauge("repair_failed_sites", "sites currently marked unavailable by the repair sweep")
 	}
 	return r
 }
@@ -79,67 +74,23 @@ func (r *Repairer) Repaired() int64 {
 func (r *Repairer) FailedSites() []model.SiteID {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]model.SiteID, 0, len(r.failedSince))
-	for id := range r.failedSince {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return model.SortedSites(r.failedSince)
 }
 
-// probeAll probes every site in parallel, each under the per-probe
-// timeout, and returns which are up. The shared breaker set gates the
-// sweep: an open breaker means the site is known-down and counts as
-// failed without an RPC, and a half-open site with a client recovery
-// probe already in flight is not double-probed — AllowProbe hands out
-// exactly one probation slot, and reporting a second outcome would
-// corrupt the breaker's probation accounting. Outcomes feed the breaker
-// only when the probe was actually admitted.
-func (r *Repairer) probeAll(ctx context.Context) map[model.SiteID]bool {
-	up := make(map[model.SiteID]bool, len(r.ops.sites))
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for id, api := range r.ops.sites {
-		if !r.ops.health.AllowProbe(id) {
-			mu.Lock()
-			up[id] = false
-			mu.Unlock()
-			continue
-		}
-		wg.Add(1)
-		go func(id model.SiteID, api storage.SiteAPI) {
-			defer wg.Done()
-			ctx, cancel := context.WithTimeout(ctx, repairProbeTimeout)
-			defer cancel()
-			err := api.Probe(ctx)
-			if err != nil {
-				r.ops.health.ReportFailure(id)
-			} else {
-				r.ops.health.ReportSuccess(id)
-			}
-			mu.Lock()
-			up[id] = err == nil
-			mu.Unlock()
-		}(id, api)
-	}
-	wg.Wait()
-	return up
-}
-
-// DueForRepair probes every site, updates failure marks, and returns the
-// sites whose grace period has expired, sorted. Returned sites have their
-// failure clock reset so a still-down site comes due again only a full
-// grace period later — the caller owns enqueueing repair for each
-// returned site exactly once.
-func (r *Repairer) DueForRepair(ctx context.Context) []model.SiteID {
+// DueForRepair updates failure marks from the shared breakers — a site is
+// down when its breaker is not closed — and returns the sites whose grace
+// period has expired, in id order. Returned sites have their failure
+// clock reset so a still-down site comes due again only a full grace
+// period later — the caller owns enqueueing repair for each returned site
+// exactly once.
+func (r *Repairer) DueForRepair() []model.SiteID {
 	now := r.clock()
 	var due []model.SiteID
 	r.checksC.Inc()
 
-	up := r.probeAll(ctx)
 	r.mu.Lock()
-	for id, ok := range up {
-		if ok {
+	for _, id := range r.ops.siteIDs {
+		if r.ops.health.Available(id) {
 			delete(r.failedSince, id)
 			continue
 		}
@@ -153,8 +104,6 @@ func (r *Repairer) DueForRepair(ctx context.Context) []model.SiteID {
 	}
 	r.failedSites.Set(int64(len(r.failedSince)))
 	r.mu.Unlock()
-
-	sort.Slice(due, func(i, j int) bool { return due[i] < due[j] })
 	return due
 }
 

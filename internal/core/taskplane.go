@@ -1,11 +1,9 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 
 	"ecstore/internal/health"
 	"ecstore/internal/metadata"
@@ -16,13 +14,14 @@ import (
 	"ecstore/internal/tasks"
 )
 
-// This file wires every background activity — repair, chunk movement,
-// scrubbing, drain/decommission — onto the unified scheduler in
-// internal/tasks. No component owns a goroutine: periodic sources turn
-// their planning steps into durable task rows, and executors registered
-// here run them under the scheduler's concurrency caps and shared byte
-// throttle. Every executor that relocates a chunk does so through the
-// one engine in relocate.go.
+// This file holds the scrub and drain executors, the task ids every
+// background activity uses, and the enqueue helpers the in-process
+// cluster and ecstore-control's subcommands share. No component owns a
+// goroutine: Control (control.go) turns planning steps into durable task
+// rows on the unified scheduler in internal/tasks, and the executors run
+// them under its concurrency caps and shared byte throttle. Every
+// executor that relocates a chunk does so through the one engine in
+// relocate.go.
 
 // Task ID builders. IDs are stable per target so a sweep firing twice
 // enqueues once (tasks.Scheduler.Enqueue dedupes against live rows).
@@ -200,13 +199,9 @@ func (d *Drainer) Run(c *tasks.Ctx) error {
 		return fmt.Errorf("core: drain of unknown site %d", site)
 	}
 	meta := d.ops.meta
-	info := meta.SiteInfos()[site]
-	info.ID = site
-	if info.State == model.SiteActive {
-		info.State = model.SiteDraining
-		if err := meta.SetSiteInfo(info); err != nil {
-			return err
-		}
+	info, err := markDraining(meta, site)
+	if err != nil {
+		return err
 	}
 
 	for _, blockID := range meta.BlocksOnSite(site) {
@@ -242,158 +237,63 @@ func (d *Drainer) Run(c *tasks.Ctx) error {
 	return nil
 }
 
-// TaskPlaneOptions selects which components BuildTaskPlane wires onto a
-// scheduler. Nil components are skipped.
-type TaskPlaneOptions struct {
-	// Repair enables repair-site/repair-chunk executors plus the
-	// liveness sweep source (cadence RepairProbeInterval, default 5s).
-	Repair              *Repairer
-	RepairProbeInterval time.Duration
-	// Mover enables the move executor plus the planning source (cadence
-	// MoverInterval, default 1s).
-	Mover         *MoverRunner
-	MoverInterval time.Duration
-	// Scrub enables the scrub-site executor. ScrubInterval > 0
-	// additionally installs the periodic sweep source enqueueing a scrub
-	// of every active site (Meta supplies the site list); zero leaves
-	// scrubbing on-demand only.
-	Scrub         *Scrubber
-	ScrubInterval time.Duration
-	Meta          metadata.Service
-	// Drain enables the drain-site executor.
-	Drain *Drainer
-	// Stats optionally runs as a source every StatsInterval (default 2s).
-	Stats         func(ctx context.Context)
-	StatsInterval time.Duration
-}
-
-// BuildTaskPlane registers every executor and periodic source on the
-// scheduler and returns the source functions, so a synchronous driver
-// (Cluster.Tick, tests) can force them regardless of cadence. Both the
-// in-process Cluster and ecstore-control (which runs against RPC clients)
-// wire their control planes through it.
-func BuildTaskPlane(s *tasks.Scheduler, o TaskPlaneOptions) []func(ctx context.Context) {
-	var sources []func(ctx context.Context)
-	addSource := func(name string, every time.Duration, fn func(ctx context.Context)) {
-		s.AddSource(name, every, fn)
-		sources = append(sources, fn)
-	}
-
-	if o.Stats != nil {
-		every := o.StatsInterval
-		if every <= 0 {
-			every = 2 * time.Second
-		}
-		addSource("stats", every, o.Stats)
-	}
-
-	if o.Repair != nil {
-		rep := o.Repair
-		s.Register(model.TaskTypeRepairSite, rep.RunSite)
-		s.Register(model.TaskTypeRepairChunk, rep.RunChunk)
-		probeEvery := o.RepairProbeInterval
-		if probeEvery <= 0 {
-			probeEvery = 5 * time.Second
-		}
-		addSource("repair-sweep", probeEvery, func(ctx context.Context) {
-			for _, id := range rep.DueForRepair(ctx) {
-				_, _ = s.Enqueue(&model.TaskRecord{
-					ID:       repairSiteTaskID(id),
-					Type:     model.TaskTypeRepairSite,
-					Site:     id,
-					Priority: model.PriorityRepair,
-				})
+// EnqueueScrub enqueues a scrub-site task for one site, or for every
+// active site when site is not a site id (≤ 0: the periodic sweep), and
+// returns how many sites it covered.
+func EnqueueScrub(meta metadata.Service, s *tasks.Scheduler, site model.SiteID) (int, error) {
+	targets := []model.SiteID{site}
+	if site <= 0 {
+		targets = targets[:0]
+		infos := meta.SiteInfos()
+		for _, id := range meta.Sites() {
+			if infos[id].State == model.SiteActive {
+				targets = append(targets, id)
 			}
-		})
-	}
-
-	if o.Mover != nil {
-		mover := o.Mover
-		s.Register(model.TaskTypeMove, mover.Run)
-		moveEvery := o.MoverInterval
-		if moveEvery <= 0 {
-			moveEvery = time.Second
-		}
-		addSource("move-plan", moveEvery, func(context.Context) {
-			plan, ok := mover.SelectPlan()
-			if !ok {
-				return
-			}
-			_, _ = s.Enqueue(&model.TaskRecord{
-				ID:       moveTaskID(plan),
-				Type:     model.TaskTypeMove,
-				Site:     plan.From,
-				Dest:     plan.To,
-				Block:    plan.Block,
-				Chunk:    plan.Chunk,
-				Priority: model.PriorityMove,
-			})
-		})
-	}
-
-	if o.Scrub != nil {
-		s.Register(model.TaskTypeScrubSite, o.Scrub.Run)
-		if o.ScrubInterval > 0 && o.Meta != nil {
-			meta := o.Meta
-			addSource("scrub-sweep", o.ScrubInterval, func(ctx context.Context) {
-				infos := meta.SiteInfos()
-				for _, id := range meta.Sites() {
-					if infos[id].State != model.SiteActive {
-						continue
-					}
-					_, _ = s.Enqueue(&model.TaskRecord{
-						ID:       scrubSiteTaskID(id),
-						Type:     model.TaskTypeScrubSite,
-						Site:     id,
-						Priority: model.PriorityScrub,
-					})
-				}
-			})
 		}
 	}
-
-	if o.Drain != nil {
-		s.Register(model.TaskTypeDrainSite, o.Drain.Run)
+	for _, id := range targets {
+		if _, err := s.Enqueue(&model.TaskRecord{
+			ID:       scrubSiteTaskID(id),
+			Type:     model.TaskTypeScrubSite,
+			Site:     id,
+			Priority: model.PriorityScrub,
+		}); err != nil {
+			return 0, fmt.Errorf("enqueue scrub of site %d: %w", id, err)
+		}
 	}
-	return sources
+	return len(targets), nil
 }
 
-// ScrubSite enqueues an immediate scrub of one site (ahead of the
-// periodic sweep).
-func (c *Cluster) ScrubSite(id model.SiteID) error {
-	if c.Scrub == nil {
-		return errors.New("core: scrubbing not enabled")
+// EnqueueDrain marks a site draining — no new chunks land on it from then
+// on — and enqueues the drain-site task that migrates its chunks away and
+// finally decommissions it.
+func EnqueueDrain(meta metadata.Service, s *tasks.Scheduler, site model.SiteID) error {
+	if _, err := markDraining(meta, site); err != nil {
+		return err
 	}
-	_, err := c.Tasks.Enqueue(&model.TaskRecord{
-		ID:       scrubSiteTaskID(id),
-		Type:     model.TaskTypeScrubSite,
-		Site:     id,
-		Priority: model.PriorityScrub,
-	})
-	return err
-}
-
-// DrainSite starts draining a site: no new chunks land on it, and a
-// drain task migrates its chunks away and finally decommissions it.
-func (c *Cluster) DrainSite(id model.SiteID) error {
-	if _, ok := c.Services[id]; !ok {
-		return fmt.Errorf("core: unknown site %d", id)
-	}
-	info := c.Catalog.SiteInfos()[id]
-	info.ID = id
-	if info.State == model.SiteActive {
-		info.State = model.SiteDraining
-		if err := c.Catalog.SetSiteInfo(info); err != nil {
-			return err
-		}
-	}
-	_, err := c.Tasks.Enqueue(&model.TaskRecord{
-		ID:       drainSiteTaskID(id),
+	if _, err := s.Enqueue(&model.TaskRecord{
+		ID:       drainSiteTaskID(site),
 		Type:     model.TaskTypeDrainSite,
-		Site:     id,
+		Site:     site,
 		Priority: model.PriorityDrain,
-	})
-	return err
+	}); err != nil {
+		return fmt.Errorf("enqueue drain of site %d: %w", site, err)
+	}
+	return nil
+}
+
+// markDraining moves an active site to draining and returns its record.
+func markDraining(meta metadata.Service, site model.SiteID) (model.SiteInfo, error) {
+	info := meta.SiteInfos()[site]
+	info.ID = site
+	if info.State != model.SiteActive {
+		return info, nil
+	}
+	info.State = model.SiteDraining
+	if err := meta.SetSiteInfo(info); err != nil {
+		return info, fmt.Errorf("mark site %d draining: %w", site, err)
+	}
+	return info, nil
 }
 
 // SetZones labels every site with a zone, round-robin over `zones` names

@@ -10,7 +10,6 @@ import (
 	"ecstore/internal/model"
 	"ecstore/internal/obs"
 	"ecstore/internal/storage"
-	"ecstore/internal/tasks"
 )
 
 func counterValue(reg *obs.Registry, name string) int64 {
@@ -193,14 +192,11 @@ func TestDrainSiteDecommissions(t *testing.T) {
 			attempts = rec.Attempts
 		}
 	}
-	sched2 := tasks.New(tasks.Config{Store: c.Catalog})
 	apis := make(map[model.SiteID]storage.SiteAPI, len(c.Services))
 	for id, svc := range c.Services {
 		apis[id] = svc
 	}
-	BuildTaskPlane(sched2, TaskPlaneOptions{
-		Drain: NewDrainer(c.Catalog, apis, c.Loads, c.Health, nil),
-	})
+	sched2 := NewControl(ClusterConfig{}, c.Catalog, apis).Tasks
 	sched2.RunOnce(ctx)
 	for _, rec := range c.Catalog.ListTasks() {
 		if rec.Type == model.TaskTypeDrainSite && rec.Attempts != attempts {

@@ -19,6 +19,18 @@ type SiteID int
 // NoSite is the zero SiteID sentinel for "no site chosen".
 const NoSite SiteID = -1
 
+// SortedSites returns a site-keyed map's ids in ascending order: the
+// iteration order for anything that must not depend on Go's randomized
+// map order, such as a float sum or a printed table.
+func SortedSites[V any](m map[SiteID]V) []SiteID {
+	ids := make([]SiteID, 0, len(m))
+	for id := range m {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	return ids
+}
+
 // BlockName returns the canonical id of the i-th block of a generated
 // population, shared by workload generators and cluster loaders.
 func BlockName(i int) BlockID {

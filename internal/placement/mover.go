@@ -175,17 +175,18 @@ func (m *Mover) LoadGain(env MoverEnv, meta *model.BlockMeta, src, dst model.Sit
 	return env.Loads.ImbalanceGain(src, dst, shift)
 }
 
-// avgO returns the mean o_j of the current cost model.
+// avgO returns the mean o_j of the current cost model, summed in site
+// order so the result does not depend on map iteration order.
 func avgO(env MoverEnv) float64 {
-	avg := env.Costs.DefaultO
-	if len(env.Costs.O) > 0 {
-		var sum float64
-		for _, v := range env.Costs.O {
-			sum += v
-		}
-		avg = sum / float64(len(env.Costs.O))
+	o := env.Costs.O
+	if len(o) == 0 {
+		return env.Costs.DefaultO
 	}
-	return avg
+	var sum float64
+	for _, s := range model.SortedSites(o) {
+		sum += o[s]
+	}
+	return sum / float64(len(o))
 }
 
 // effectiveW2 resolves the load-balance weight, optionally scaled by the

@@ -57,12 +57,7 @@ func (l *LoadTracker) Remove(site model.SiteID) {
 func (l *LoadTracker) Sites() []model.SiteID {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]model.SiteID, 0, len(l.sites))
-	for s := range l.sites {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return model.SortedSites(l.sites)
 }
 
 // omegaLocked computes ω for one site. Caller holds l.mu.
@@ -88,13 +83,15 @@ func (l *LoadTracker) MeanOmega() float64 {
 	return l.meanOmegaLocked()
 }
 
+// meanOmegaLocked sums in site order: a float sum over map order differs
+// in its last bits from run to run, and the mover's choices with it.
 func (l *LoadTracker) meanOmegaLocked() float64 {
 	if len(l.sites) == 0 {
 		return 0
 	}
 	var sum float64
-	for _, load := range l.sites {
-		sum += l.omegaLocked(load)
+	for _, s := range model.SortedSites(l.sites) {
+		sum += l.omegaLocked(l.sites[s])
 	}
 	return sum / float64(len(l.sites))
 }
@@ -261,19 +258,4 @@ func (p *ProbeEstimator) Costs(defaultO, m float64) *model.SiteCosts {
 		o[s] = v
 	}
 	return &model.SiteCosts{O: o, DefaultO: defaultO, DefaultM: m}
-}
-
-// AverageO returns the mean o_j estimate across sites (avg(o_j), used to
-// initialize the movement weight w2), or def when empty.
-func (p *ProbeEstimator) AverageO(def float64) float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if len(p.o) == 0 {
-		return def
-	}
-	var sum float64
-	for _, v := range p.o {
-		sum += v
-	}
-	return sum / float64(len(p.o))
 }

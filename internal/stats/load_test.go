@@ -154,14 +154,8 @@ func TestProbeEstimatorBadAlphaFallsBack(t *testing.T) {
 
 func TestProbeEstimatorCostsAndAverage(t *testing.T) {
 	p := NewProbeEstimator(1)
-	if got := p.AverageO(3.5); got != 3.5 {
-		t.Errorf("empty AverageO = %v", got)
-	}
 	p.Observe(1, 4)
 	p.Observe(2, 6)
-	if got := p.AverageO(0); math.Abs(got-5) > 1e-12 {
-		t.Errorf("AverageO = %v, want 5", got)
-	}
 	costs := p.Costs(9, 2)
 	if got := costs.OCost(1); got != 4 {
 		t.Errorf("costs O(1) = %v", got)

@@ -71,14 +71,15 @@ func NewAggregator(window int) *Aggregator {
 
 // RPC method numbers of the statistics service. New methods are appended
 // at the end of the iota block — numbers are part of the wire protocol and
-// must never be reordered (see DESIGN.md, "RPC method numbering").
+// must never be reordered or reused (see DESIGN.md, "RPC method
+// numbering").
 const (
 	methodRecordAccess rpc.Method = iota + 1
-	methodReportLoad
-	methodObserveProbe
-	methodGetCosts
-	methodGetLoads
-	methodGetPartners
+	_                             // 2 (ReportLoad): retired, the control plane reads loads itself
+	_                             // 3 (ObserveProbe): retired, likewise for probe RTTs
+	_                             // 4 (GetCosts): retired, no caller
+	_                             // 5 (GetLoads): retired, no caller
+	_                             // 6 (GetPartners): retired, no caller
 	methodGetMetrics
 )
 
@@ -108,75 +109,8 @@ func (s *Server) Handle(_ context.Context, method rpc.Method, body []byte) ([]by
 		s.agg.RecordAccess(ids)
 		return nil, nil
 
-	case methodReportLoad:
-		site := model.SiteID(d.Int64())
-		load := SiteLoad{
-			CPU:           d.Float64(),
-			IOBytesPerSec: d.Float64(),
-			Chunks:        int(d.Uint32()),
-		}
-		if err := d.Err(); err != nil {
-			return nil, err
-		}
-		s.agg.ReportLoad(site, load)
-		return nil, nil
-
-	case methodObserveProbe:
-		site := model.SiteID(d.Int64())
-		rtt := d.Float64()
-		if err := d.Err(); err != nil {
-			return nil, err
-		}
-		s.agg.ObserveProbe(site, rtt)
-		return nil, nil
-
-	case methodGetCosts:
-		defaultO := d.Float64()
-		m := d.Float64()
-		if err := d.Err(); err != nil {
-			return nil, err
-		}
-		costs := s.agg.Probes.Costs(defaultO, m)
-		e := wire.NewEncoder(16 * len(costs.O))
-		e.Float64(costs.DefaultO)
-		e.Float64(costs.DefaultM)
-		e.Uint32(uint32(len(costs.O)))
-		for _, site := range sortedSiteKeys(costs.O) {
-			e.Int64(int64(site))
-			e.Float64(costs.O[site])
-		}
-		return e.Bytes(), nil
-
-	case methodGetLoads:
-		snap := s.agg.Loads.Snapshot()
-		e := wire.NewEncoder(32 * len(snap))
-		e.Uint32(uint32(len(snap)))
-		for _, site := range sortedLoadKeys(snap) {
-			load := snap[site]
-			e.Int64(int64(site))
-			e.Float64(load.CPU)
-			e.Float64(load.IOBytesPerSec)
-			e.Uint32(uint32(load.Chunks))
-		}
-		return e.Bytes(), nil
-
 	case methodGetMetrics:
 		return obs.MarshalSnapshot(s.agg.MetricsSnapshot()), nil
-
-	case methodGetPartners:
-		block := model.BlockID(d.String())
-		max := int(d.Uint32())
-		if err := d.Err(); err != nil {
-			return nil, err
-		}
-		ps := s.agg.CoAccess.Partners(block, max)
-		e := wire.NewEncoder(32 * len(ps))
-		e.Uint32(uint32(len(ps)))
-		for _, p := range ps {
-			e.String(string(p.Block))
-			e.Float64(p.Lambda)
-		}
-		return e.Bytes(), nil
 
 	default:
 		return nil, fmt.Errorf("stats: unknown method %d", method)
@@ -202,69 +136,6 @@ func (c *Client) RecordAccess(ids []model.BlockID) error {
 	return err
 }
 
-// ReportLoad reports one site's load window.
-func (c *Client) ReportLoad(site model.SiteID, load SiteLoad) error {
-	e := wire.NewEncoder(32)
-	e.Int64(int64(site))
-	e.Float64(load.CPU)
-	e.Float64(load.IOBytesPerSec)
-	e.Uint32(uint32(load.Chunks))
-	_, err := c.rc.Call(methodReportLoad, e.Bytes())
-	return err
-}
-
-// ObserveProbe folds one probe RTT into the remote o_j estimate.
-func (c *Client) ObserveProbe(site model.SiteID, rtt float64) error {
-	e := wire.NewEncoder(16)
-	e.Int64(int64(site))
-	e.Float64(rtt)
-	_, err := c.rc.Call(methodObserveProbe, e.Bytes())
-	return err
-}
-
-// GetCosts fetches the current cost model.
-func (c *Client) GetCosts(defaultO, m float64) (*model.SiteCosts, error) {
-	e := wire.NewEncoder(16)
-	e.Float64(defaultO)
-	e.Float64(m)
-	resp, err := c.rc.Call(methodGetCosts, e.Bytes())
-	if err != nil {
-		return nil, err
-	}
-	d := wire.NewDecoder(resp)
-	costs := &model.SiteCosts{
-		DefaultO: d.Float64(),
-		DefaultM: d.Float64(),
-		O:        make(map[model.SiteID]float64),
-	}
-	n := int(d.Uint32())
-	for i := 0; i < n; i++ {
-		site := model.SiteID(d.Int64())
-		costs.O[site] = d.Float64()
-	}
-	return costs, d.Err()
-}
-
-// GetLoads fetches the current per-site load table.
-func (c *Client) GetLoads() (map[model.SiteID]SiteLoad, error) {
-	resp, err := c.rc.Call(methodGetLoads, nil)
-	if err != nil {
-		return nil, err
-	}
-	d := wire.NewDecoder(resp)
-	n := int(d.Uint32())
-	out := make(map[model.SiteID]SiteLoad, n)
-	for i := 0; i < n; i++ {
-		site := model.SiteID(d.Int64())
-		out[site] = SiteLoad{
-			CPU:           d.Float64(),
-			IOBytesPerSec: d.Float64(),
-			Chunks:        int(d.Uint32()),
-		}
-	}
-	return out, d.Err()
-}
-
 // Metrics fetches the remote statistics service's metrics snapshot.
 func (c *Client) Metrics() (*obs.Snapshot, error) {
 	resp, err := c.rc.Call(methodGetMetrics, nil)
@@ -272,51 +143,4 @@ func (c *Client) Metrics() (*obs.Snapshot, error) {
 		return nil, err
 	}
 	return obs.UnmarshalSnapshot(resp)
-}
-
-// GetPartners fetches a block's co-access partners with λ values.
-func (c *Client) GetPartners(block model.BlockID, max int) ([]Partner, error) {
-	e := wire.NewEncoder(24)
-	e.String(string(block))
-	e.Uint32(uint32(max))
-	resp, err := c.rc.Call(methodGetPartners, e.Bytes())
-	if err != nil {
-		return nil, err
-	}
-	d := wire.NewDecoder(resp)
-	n := int(d.Uint32())
-	out := make([]Partner, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, Partner{
-			Block:  model.BlockID(d.String()),
-			Lambda: d.Float64(),
-		})
-	}
-	return out, d.Err()
-}
-
-func sortedSiteKeys(m map[model.SiteID]float64) []model.SiteID {
-	out := make([]model.SiteID, 0, len(m))
-	for s := range m {
-		out = append(out, s)
-	}
-	sortSites(out)
-	return out
-}
-
-func sortedLoadKeys(m map[model.SiteID]SiteLoad) []model.SiteID {
-	out := make([]model.SiteID, 0, len(m))
-	for s := range m {
-		out = append(out, s)
-	}
-	sortSites(out)
-	return out
-}
-
-func sortSites(s []model.SiteID) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

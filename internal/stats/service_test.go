@@ -50,62 +50,6 @@ func TestStatsRPCRecordAccessAndPartners(t *testing.T) {
 	if got := agg.CoAccess.Lambda("a", "b"); math.Abs(got-0.8) > 1e-12 {
 		t.Fatalf("server λ(a,b) = %v, want 0.8", got)
 	}
-	// Partners over RPC.
-	ps, err := client.GetPartners("a", 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ps) != 2 || ps[0].Block != "b" {
-		t.Fatalf("partners = %v", ps)
-	}
-	if math.Abs(ps[0].Lambda-0.8) > 1e-12 {
-		t.Fatalf("λ over RPC = %v", ps[0].Lambda)
-	}
-}
-
-func TestStatsRPCLoadsAndCosts(t *testing.T) {
-	client, _, cleanup := startStatsRPC(t)
-	defer cleanup()
-
-	if err := client.ReportLoad(3, SiteLoad{CPU: 0.7, IOBytesPerSec: 1234, Chunks: 42}); err != nil {
-		t.Fatal(err)
-	}
-	loads, err := client.GetLoads()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := loads[3]; got.CPU != 0.7 || got.IOBytesPerSec != 1234 || got.Chunks != 42 {
-		t.Fatalf("loads[3] = %+v", got)
-	}
-
-	if err := client.ObserveProbe(3, 0.005); err != nil {
-		t.Fatal(err)
-	}
-	costs, err := client.GetCosts(0.001, 1e-8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := costs.OCost(3); math.Abs(got-0.005) > 1e-12 {
-		t.Fatalf("o_3 over RPC = %v", got)
-	}
-	if got := costs.OCost(9); got != 0.001 {
-		t.Fatalf("default o = %v", got)
-	}
-	if got := costs.MCost(3); got != 1e-8 {
-		t.Fatalf("m over RPC = %v", got)
-	}
-}
-
-func TestStatsRPCEmptyPartners(t *testing.T) {
-	client, _, cleanup := startStatsRPC(t)
-	defer cleanup()
-	ps, err := client.GetPartners("never-seen", 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ps) != 0 {
-		t.Fatalf("partners = %v", ps)
-	}
 }
 
 func TestAggregatorDefaults(t *testing.T) {

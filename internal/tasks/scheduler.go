@@ -28,8 +28,8 @@
 //     so the scheduler runs byte-identically under internal/sim virtual
 //     time and the chaos harness.
 //
-// Periodic work (repair probe sweeps, mover planning rounds, scrub
-// scheduling) enters through sources: named closures run at a fixed
+// Periodic work (probe rounds with their repair sweeps, mover planning,
+// scrub scheduling) enters through sources: named closures run at a fixed
 // cadence at the top of each pass, enqueueing whatever tasks they find
 // due. Source-enqueued IDs are stable, and Enqueue deduplicates against
 // live rows, so a sweep that fires twice enqueues once.
@@ -261,13 +261,13 @@ func (s *Scheduler) resync() {
 	}
 }
 
-// runSources fires every due source.
-func (s *Scheduler) runSources(ctx context.Context) {
+// runSources fires every due source, or every source when all is set.
+func (s *Scheduler) runSources(ctx context.Context, all bool) {
 	now := s.clock()
 	s.mu.Lock()
 	due := make([]*source, 0, len(s.sources))
 	for _, src := range s.sources {
-		if !src.nextAt.After(now) {
+		if all || !src.nextAt.After(now) {
 			src.nextAt = now.Add(src.every)
 			due = append(due, src)
 		}
@@ -307,11 +307,18 @@ func (s *Scheduler) admissible(skip map[string]bool) []*model.TaskRecord {
 // RunOnce executes one scheduler pass: resume-sync on the first call,
 // then due sources, then batches of admissible tasks until the queue has
 // nothing startable left. It blocks until every task it started has
-// finished, so a caller driving passes manually (Cluster.Tick, the sim,
-// tests) observes a quiescent queue between passes.
-func (s *Scheduler) RunOnce(ctx context.Context) {
+// finished, so a caller driving passes manually (the sim, tests) observes
+// a quiescent queue between passes.
+func (s *Scheduler) RunOnce(ctx context.Context) { s.pass(ctx, false) }
+
+// RunRound is RunOnce with every source fired exactly once regardless of
+// cadence; each source's next regular run is then a full interval away.
+// It is one complete synchronous round (core.Control.Tick).
+func (s *Scheduler) RunRound(ctx context.Context) { s.pass(ctx, true) }
+
+func (s *Scheduler) pass(ctx context.Context, allSources bool) {
 	s.resync()
-	s.runSources(ctx)
+	s.runSources(ctx, allSources)
 
 	ran := make(map[string]bool)
 	for {
