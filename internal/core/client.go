@@ -87,7 +87,7 @@ type Config struct {
 	Delta int
 	// PlaceStrategy governs where new chunks land.
 	PlaceStrategy placement.PlaceStrategy
-	// InlineExact makes the planner solve ILPs synchronously (tests and
+	// InlineExact makes the planner run exact solves synchronously (tests and
 	// simulation); production uses the background worker.
 	InlineExact bool
 	// Seed drives all client-side randomness.
@@ -204,7 +204,7 @@ const hedgeMinSamples = 20
 
 // Client is the EC-Store client service: the component applications link
 // against. It owns the erasure codec, the access planner (plan cache +
-// greedy/ILP solvers) and one connection per storage site, and implements
+// greedy and exact solvers) and one connection per storage site, and implements
 // the paper's read path R1-R3 (GetMulti) and write path W1-W3 (Put).
 type Client struct {
 	cfg    Config

@@ -41,8 +41,8 @@ type PlannerConfig struct {
 	Delta int
 	// CacheSize bounds the plan cache entries; 0 means 4096.
 	CacheSize int
-	// InlineExact makes cache misses solve the ILP synchronously after
-	// returning the greedy plan, emulating the paper's background
+	// InlineExact makes cache misses run the exact solve synchronously
+	// after returning the greedy plan, emulating the paper's background
 	// worker deterministically (used by tests). When false a real
 	// background goroutine performs the solve.
 	InlineExact bool
@@ -55,13 +55,14 @@ type PlannerConfig struct {
 	// immediately so identical requests hit before the exact solve
 	// lands (it is replaced once the exact solution arrives).
 	CacheGreedyOnMiss bool
-	// MaxExactNodes caps branch-and-bound effort per background solve;
-	// 0 means the solver default.
+	// MaxExactNodes caps branch-and-bound effort per background solve of
+	// a request spanning more than 14 sites (smaller ones are solved by
+	// site-subset enumeration and ignore it); 0 means the solver default.
 	MaxExactNodes int
 	// Seed drives random tie-breaking.
 	Seed int64
 	// Metrics optionally exports plan-cache instrumentation (hit/miss/
-	// greedy-fallback/ILP-upgrade counts, cache size, planning latency)
+	// greedy-fallback/exact-upgrade counts, cache size, planning latency)
 	// into a shared registry. Nil disables it.
 	Metrics *obs.Registry
 }
@@ -86,7 +87,7 @@ func newPlannerObs(reg *obs.Registry) plannerObs {
 		hits:      reg.Counter("plan_cache_hits_total", "plans served from the cache"),
 		misses:    reg.Counter("plan_cache_misses_total", "requests not found in the cache"),
 		greedy:    reg.Counter("plan_greedy_total", "plans served by the greedy fallback"),
-		exact:     reg.Counter("plan_exact_total", "exact ILP solutions installed (background upgrades)"),
+		exact:     reg.Counter("plan_exact_total", "exact plans installed (background upgrades)"),
 		random:    reg.Counter("plan_random_total", "plans served by the random baseline strategy"),
 		evictions: reg.Counter("plan_cache_evictions_total", "cached plans dropped (capacity or invalidation)"),
 		entries:   reg.Gauge("plan_cache_entries", "plans currently cached"),
@@ -114,7 +115,7 @@ func (s PlannerStats) HitRate() float64 {
 
 // Planner produces access plans according to a configured strategy,
 // caching exact solutions as described in Section V-B1: a cache miss is
-// served by the greedy heuristic while the exact ILP solution is computed
+// served by the greedy heuristic while the exact solution is computed
 // in the background and installed for future requests.
 type Planner struct {
 	cfg PlannerConfig
@@ -337,7 +338,7 @@ func (p *Planner) MemoryFootprint() int {
 // solveAndInstall computes the exact plan and installs it in the cache,
 // keeping the greedy plan if the exact solve fails or is not better.
 func (p *Planner) solveAndInstall(req PlanRequest, costs *model.SiteCosts, key string) {
-	exact, err := ExactPlanWithNodes(req, costs, p.cfg.MaxExactNodes)
+	exact, err := ExactPlan(req, costs, p.cfg.MaxExactNodes)
 	if err != nil {
 		return
 	}

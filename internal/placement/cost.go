@@ -158,16 +158,16 @@ func (rc *requestCandidates) feasible() bool {
 	return true
 }
 
-// bruteForceMaxSites bounds the exhaustive site-subset search used for
-// exact cost estimates on small queries (the mover's two-block queries
-// touch at most 2·(k+r) sites).
+// bruteForceMaxSites bounds the exhaustive site-subset search, the exact
+// solver of Equation 4 for every request whose candidates span at most this
+// many sites (the mover's two-block queries touch at most 2·(k+r) sites).
+// Larger requests go to the ILP (ExactPlan) or, for ExactCost, to greedy.
 const bruteForceMaxSites = 14
 
 // ExactCost computes cost(C, Q) of Equation 4 exactly when the candidate
-// site set is small, by enumerating accessed-site subsets and assigning
-// each block its cheapest chunks within the subset. For larger instances it
-// falls back to the greedy planner's cost. The second return value reports
-// whether the result is exact.
+// site set is small, by enumerating accessed-site subsets (bestSiteMask).
+// For larger instances it falls back to the greedy planner's cost. The
+// second return value reports whether the result is exact.
 func ExactCost(metas map[model.BlockID]*model.BlockMeta, costs *model.SiteCosts, available func(model.SiteID) bool, delta int) (float64, bool) {
 	rc := buildCandidates(metas, available)
 	if !rc.feasible() {
@@ -177,9 +177,35 @@ func ExactCost(metas map[model.BlockID]*model.BlockMeta, costs *model.SiteCosts,
 		plan := greedyPlan(rc, costs, delta, nil)
 		return PlanCost(plan, metas, costs), false
 	}
+	_, cost, _ := bestSiteMask(rc, costs, delta)
+	return cost, true
+}
 
-	// Flatten to index-based arrays so the 2^n mask loop stays tight:
-	// the mover evaluates thousands of two-block queries per round.
+// subsetBlock is one block of a request flattened for the site-subset
+// search: its chunk count to fetch and its candidates in ascending read
+// cost, equal costs in chunk-index order, so that "the need cheapest
+// chunks within a subset" is one in-order scan and deterministic.
+type subsetBlock struct {
+	need  int
+	cands []subsetCand
+}
+
+// subsetCand is one candidate chunk: its site's index in
+// requestCandidates.sites and its read cost m_j·z_i.
+type subsetCand struct {
+	site int
+	cost float64
+	ref  model.ChunkRef
+}
+
+// bestSiteMask solves Equation 4 exactly for a feasible request with at most
+// bruteForceMaxSites candidate sites. Fixing the accessed-site set A (bit i
+// of mask is rc.sites[i]) leaves each block independent: it reads its need
+// cheapest chunks within A. So the optimum is the cheapest feasible A,
+// found by enumerating all 2^n subsets with pruning on the running cost;
+// the first (lowest) mask wins ties. It returns that mask, its cost, and
+// the flattened blocks (in rc.blocks order) the mask selects from.
+func bestSiteMask(rc *requestCandidates, costs *model.SiteCosts, delta int) (int, float64, []subsetBlock) {
 	n := len(rc.sites)
 	oCost := make([]float64, n)
 	siteIdx := make(map[model.SiteID]int, n)
@@ -187,26 +213,31 @@ func ExactCost(metas map[model.BlockID]*model.BlockMeta, costs *model.SiteCosts,
 		oCost[i] = costs.OCost(s)
 		siteIdx[s] = i
 	}
-	type flatBlock struct {
-		need      int
-		candSite  []int     // site index per candidate chunk
-		candCost  []float64 // m_j * z_i per candidate chunk
-	}
-	blocks := make([]flatBlock, 0, len(rc.blocks))
+	total := 0
 	for _, id := range rc.blocks {
-		fb := flatBlock{need: rc.need(id, delta)}
+		total += len(rc.cands[id])
+	}
+	all := make([]subsetCand, 0, total)
+	blocks := make([]subsetBlock, len(rc.blocks))
+	for bi, id := range rc.blocks {
+		start := len(all)
+		size := float64(rc.metas[id].ChunkSize)
 		for _, c := range rc.cands[id] {
-			fb.candSite = append(fb.candSite, siteIdx[c.site])
-			fb.candCost = append(fb.candCost, costs.MCost(c.site)*float64(rc.metas[id].ChunkSize))
+			all = append(all, subsetCand{site: siteIdx[c.site], cost: costs.MCost(c.site) * size, ref: c.ref})
 		}
-		// Sort candidates by cost once so per-mask selection is a
-		// single in-order scan.
-		sort.Sort(&candSorter{sites: fb.candSite, costs: fb.candCost})
-		blocks = append(blocks, fb)
+		cands := all[start:len(all):len(all)]
+		// Candidates arrive in chunk-index order; a stable insertion sort
+		// by cost keeps that order among equal costs without allocating.
+		for i := 1; i < len(cands); i++ {
+			for j := i; j > 0 && cands[j].cost < cands[j-1].cost; j-- {
+				cands[j], cands[j-1] = cands[j-1], cands[j]
+			}
+		}
+		blocks[bi] = subsetBlock{need: rc.need(id, delta), cands: cands}
 	}
 
-	best := math.Inf(1)
-	for mask := 1; mask < 1<<n; mask++ {
+	bestMask, best := 0, math.Inf(1)
+	for mask := 0; mask < 1<<n; mask++ {
 		var cost float64
 		for i := 0; i < n; i++ {
 			if mask&(1<<i) != 0 {
@@ -218,35 +249,39 @@ func ExactCost(metas map[model.BlockID]*model.BlockMeta, costs *model.SiteCosts,
 		}
 		ok := true
 		for bi := range blocks {
-			fb := &blocks[bi]
+			b := &blocks[bi]
 			taken := 0
-			for ci := 0; ci < len(fb.candSite) && taken < fb.need; ci++ {
-				if mask&(1<<fb.candSite[ci]) != 0 {
-					cost += fb.candCost[ci]
+			for ci := 0; ci < len(b.cands) && taken < b.need; ci++ {
+				if mask&(1<<b.cands[ci].site) != 0 {
+					cost += b.cands[ci].cost
 					taken++
 				}
 			}
-			if taken < fb.need || cost >= best {
+			if taken < b.need || cost >= best {
 				ok = false
 				break
 			}
 		}
 		if ok {
-			best = cost
+			bestMask, best = mask, cost
 		}
 	}
-	return best, true
+	return bestMask, best, blocks
 }
 
-// candSorter sorts parallel candidate arrays by ascending cost.
-type candSorter struct {
-	sites []int
-	costs []float64
-}
-
-func (s *candSorter) Len() int           { return len(s.sites) }
-func (s *candSorter) Less(i, j int) bool { return s.costs[i] < s.costs[j] }
-func (s *candSorter) Swap(i, j int) {
-	s.sites[i], s.sites[j] = s.sites[j], s.sites[i]
-	s.costs[i], s.costs[j] = s.costs[j], s.costs[i]
+// subsetPlan turns bestSiteMask's answer into an access plan: each block
+// reads its need cheapest chunks within the mask.
+func subsetPlan(rc *requestCandidates, mask int, blocks []subsetBlock) *model.AccessPlan {
+	plan := model.NewAccessPlan()
+	for bi := range blocks {
+		b := &blocks[bi]
+		taken := 0
+		for ci := 0; ci < len(b.cands) && taken < b.need; ci++ {
+			if c := b.cands[ci]; mask&(1<<c.site) != 0 {
+				plan.Add(rc.sites[c.site], c.ref)
+				taken++
+			}
+		}
+	}
+	return plan
 }

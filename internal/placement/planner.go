@@ -185,26 +185,32 @@ func greedyPlan(rc *requestCandidates, costs *model.SiteCosts, delta int, rng *r
 	return plan
 }
 
-// ExactPlan solves the access-planning ILP of Equation 4 exactly with
-// branch and bound. Variables: one s_ij per existing chunk on an available
-// site, one a_j per candidate site. Objective and constraints follow
-// Equations 1-3, with Equation 2's right-hand side raised by Delta for late
-// binding (Section IV-B1).
-func ExactPlan(req PlanRequest, costs *model.SiteCosts) (*model.AccessPlan, error) {
-	return ExactPlanWithNodes(req, costs, 5000)
-}
-
-// ExactPlanWithNodes is ExactPlan with an explicit branch-and-bound node
-// budget; maxNodes <= 0 uses the default.
-func ExactPlanWithNodes(req PlanRequest, costs *model.SiteCosts, maxNodes int) (*model.AccessPlan, error) {
-	if maxNodes <= 0 {
-		maxNodes = 5000
-	}
+// ExactPlan solves the access-planning problem of Equation 4 exactly, with
+// Equation 2's right-hand side raised by Delta for late binding (Section
+// IV-B1). A request whose candidates span at most bruteForceMaxSites sites
+// is solved by enumerating accessed-site subsets (bestSiteMask), which is
+// deterministic and takes microseconds; a larger one goes to the ILP's
+// branch and bound, capped at maxNodes nodes (<= 0 means 5000).
+func ExactPlan(req PlanRequest, costs *model.SiteCosts, maxNodes int) (*model.AccessPlan, error) {
 	rc := buildCandidates(req.Metas, req.Available)
 	if !rc.feasible() {
 		return nil, ErrInfeasible
 	}
+	if len(rc.sites) > bruteForceMaxSites {
+		return ilpPlan(rc, costs, req.Delta, maxNodes)
+	}
+	mask, _, blocks := bestSiteMask(rc, costs, req.Delta)
+	return subsetPlan(rc, mask, blocks), nil
+}
 
+// ilpPlan solves Equation 4 as an integer program with branch and bound.
+// Variables: one s_ij per existing chunk on an available site, one a_j per
+// candidate site. Objective and constraints follow Equations 1-3. The
+// tests also use it as the oracle for bestSiteMask.
+func ilpPlan(rc *requestCandidates, costs *model.SiteCosts, delta, maxNodes int) (*model.AccessPlan, error) {
+	if maxNodes <= 0 {
+		maxNodes = 5000
+	}
 	// Variable layout: chunk-selection variables first, then site vars.
 	type chunkVar struct {
 		c     candidate
@@ -249,7 +255,7 @@ func ExactPlanWithNodes(req PlanRequest, costs *model.SiteCosts, maxNodes int) (
 			coeffs = append(coeffs, 1)
 		}
 		p.Constraints = append(p.Constraints, ilp.Constraint{
-			Vars: vars, Coeffs: coeffs, Op: ilp.GE, RHS: float64(rc.need(id, req.Delta)),
+			Vars: vars, Coeffs: coeffs, Op: ilp.GE, RHS: float64(rc.need(id, delta)),
 		})
 	}
 
@@ -293,12 +299,13 @@ func ExactPlanWithNodes(req PlanRequest, costs *model.SiteCosts, maxNodes int) (
 	}
 	// Branch and bound can select more chunks than needed when ties are
 	// free; trim any surplus beyond need to keep plans minimal.
-	trimSurplus(plan, rc, req.Delta, costs)
+	trimSurplus(plan, rc, delta, costs)
 	return plan, nil
 }
 
 // trimSurplus removes selected chunks beyond each block's requirement,
-// dropping the most expensive first, and prunes now-empty sites.
+// dropping the most expensive first, and prunes now-empty sites. Only
+// ilpPlan needs it: the site-subset solver never selects a surplus.
 func trimSurplus(plan *model.AccessPlan, rc *requestCandidates, delta int, costs *model.SiteCosts) {
 	counts := make(map[model.BlockID]int)
 	for _, refs := range plan.Reads {

@@ -2,6 +2,7 @@ package placement
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -121,7 +122,7 @@ func TestExactPlanOptimal(t *testing.T) {
 		"b": makeMeta("b", 2, 2, 100, 3, 4, 5, 6),
 	}
 	costs := uniformCosts(5, 0.001)
-	plan, err := ExactPlan(PlanRequest{Metas: metas}, costs)
+	plan, err := ExactPlan(PlanRequest{Metas: metas}, costs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,12 +133,12 @@ func TestExactPlanOptimal(t *testing.T) {
 	if got := plan.SitesAccessed(); got != 2 {
 		t.Fatalf("exact plan accessed %d sites, want 2: %+v", got, plan.Reads)
 	}
-	wantCost, exact := ExactCost(metas, costs, nil, 0)
-	if !exact {
-		t.Fatal("ExactCost fell back to greedy unexpectedly")
+	oracle, err := ilpPlan(buildCandidates(metas, nil), costs, 0, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := PlanCost(plan, metas, costs); math.Abs(got-wantCost) > 1e-6 {
-		t.Fatalf("ILP cost %v != brute-force cost %v", got, wantCost)
+	if got, want := PlanCost(plan, metas, costs), PlanCost(oracle, metas, costs); math.Abs(got-want) > 1e-6 {
+		t.Fatalf("site-subset cost %v != ILP cost %v", got, want)
 	}
 }
 
@@ -146,7 +147,7 @@ func TestExactPlanRespectsAvailability(t *testing.T) {
 		"a": makeMeta("a", 2, 2, 100, 1, 2, 3, 4),
 	}
 	avail := func(s model.SiteID) bool { return s != 3 && s != 4 }
-	plan, err := ExactPlan(PlanRequest{Metas: metas, Available: avail}, uniformCosts(5, 0.001))
+	plan, err := ExactPlan(PlanRequest{Metas: metas, Available: avail}, uniformCosts(5, 0.001), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func TestExactPlanInfeasible(t *testing.T) {
 		"a": makeMeta("a", 2, 1, 100, 1, 2, 3),
 	}
 	avail := func(s model.SiteID) bool { return s == 2 }
-	if _, err := ExactPlan(PlanRequest{Metas: metas, Available: avail}, uniformCosts(5, 0.001)); !errors.Is(err, ErrInfeasible) {
+	if _, err := ExactPlan(PlanRequest{Metas: metas, Available: avail}, uniformCosts(5, 0.001), 0); !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
 }
@@ -173,7 +174,7 @@ func TestLateBindingDelta(t *testing.T) {
 	}
 	costs := uniformCosts(5, 0.001)
 	for _, delta := range []int{0, 1, 2} {
-		plan, err := ExactPlan(PlanRequest{Metas: metas, Delta: delta}, costs)
+		plan, err := ExactPlan(PlanRequest{Metas: metas, Delta: delta}, costs, 0)
 		if err != nil {
 			t.Fatalf("delta %d: %v", delta, err)
 		}
@@ -185,7 +186,7 @@ func TestLateBindingDelta(t *testing.T) {
 		}
 	}
 	// Delta beyond available chunks is capped.
-	plan, err := ExactPlan(PlanRequest{Metas: metas, Delta: 5}, costs)
+	plan, err := ExactPlan(PlanRequest{Metas: metas, Delta: 5}, costs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,53 +195,169 @@ func TestLateBindingDelta(t *testing.T) {
 	}
 }
 
-// TestExactPlanMatchesBruteForceProperty is the core solver correctness
-// property: on random small instances, the ILP's plan cost equals the
-// exhaustive optimum.
-func TestExactPlanMatchesBruteForceProperty(t *testing.T) {
+// randomInstance draws numBlocks RS(2,1..2) blocks with random chunk sizes
+// over numSites sites (each block on distinct random sites) and random
+// per-site o_j and m_j.
+func randomInstance(r *rand.Rand, numSites, numBlocks int) (map[model.BlockID]*model.BlockMeta, *model.SiteCosts) {
+	metas := make(map[model.BlockID]*model.BlockMeta, numBlocks)
+	for b := 0; b < numBlocks; b++ {
+		k := 2
+		rr := 1 + r.Intn(2)
+		perm := r.Perm(numSites)
+		sites := make([]model.SiteID, k+rr)
+		for c := range sites {
+			sites[c] = model.SiteID(perm[c] + 1)
+		}
+		id := model.BlockID(string(rune('a' + b)))
+		metas[id] = makeMeta(id, k, rr, int64(50+r.Intn(200)), sites...)
+	}
+	costs := &model.SiteCosts{
+		O:        map[model.SiteID]float64{},
+		M:        map[model.SiteID]float64{},
+		DefaultO: 5, DefaultM: 0.01,
+	}
+	for s := 1; s <= numSites; s++ {
+		costs.O[model.SiteID(s)] = 1 + 10*r.Float64()
+		costs.M[model.SiteID(s)] = 0.001 + 0.02*r.Float64()
+	}
+	return metas, costs
+}
+
+// TestExactPlanMatchesILPProperty is the core solver correctness property:
+// on random small instances, with and without late binding and an
+// availability filter, the site-subset plan costs exactly what the ILP
+// formulation of Equation 4 (solved independently by branch and bound)
+// costs, and both plans are valid.
+func TestExactPlanMatchesILPProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	check := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		numSites := 4 + r.Intn(5) // 4..8
-		numBlocks := 1 + r.Intn(3)
-		metas := make(map[model.BlockID]*model.BlockMeta, numBlocks)
-		for b := 0; b < numBlocks; b++ {
-			k := 2
-			rr := 1 + r.Intn(2)
-			perm := r.Perm(numSites)
-			sites := make([]model.SiteID, k+rr)
-			for c := range sites {
-				sites[c] = model.SiteID(perm[c] + 1)
-			}
-			id := model.BlockID(string(rune('a' + b)))
-			metas[id] = makeMeta(id, k, rr, int64(50+r.Intn(200)), sites...)
+		metas, costs := randomInstance(r, numSites, 1+r.Intn(3))
+		delta := r.Intn(2)
+		var avail func(model.SiteID) bool
+		if r.Intn(2) == 0 {
+			down := model.SiteID(1 + r.Intn(numSites))
+			avail = func(s model.SiteID) bool { return s != down }
 		}
-		costs := &model.SiteCosts{
-			O:        map[model.SiteID]float64{},
-			M:        map[model.SiteID]float64{},
-			DefaultO: 5, DefaultM: 0.01,
-		}
-		for s := 1; s <= numSites; s++ {
-			costs.O[model.SiteID(s)] = 1 + 10*r.Float64()
-			costs.M[model.SiteID(s)] = 0.001 + 0.02*r.Float64()
-		}
+		req := PlanRequest{Metas: metas, Delta: delta, Available: avail}
 
-		plan, err := ExactPlan(PlanRequest{Metas: metas}, costs)
-		if err != nil {
+		rc := buildCandidates(metas, avail)
+		plan, err := ExactPlan(req, costs, 0)
+		if errors.Is(err, ErrInfeasible) {
+			return !rc.feasible()
+		}
+		oracle, oerr := ilpPlan(rc, costs, delta, 20000)
+		if err != nil || oerr != nil {
+			t.Logf("seed %d: ExactPlan err %v, ILP err %v", seed, err, oerr)
 			return false
 		}
-		if err := ValidatePlan(plan, metas, 0); err != nil {
+		// ValidatePlan counts k+delta against every chunk, reachable or
+		// not, so the surplus is checked here against the reachable ones.
+		for _, p := range []*model.AccessPlan{plan, oracle} {
+			if err := ValidatePlan(p, metas, 0); err != nil {
+				t.Logf("seed %d: %v", seed, err)
+				return false
+			}
+			for _, id := range rc.blocks {
+				if got := p.ChunksFor(id); got != rc.need(id, delta) {
+					t.Logf("seed %d: block %s reads %d chunks, want %d", seed, id, got, rc.need(id, delta))
+					return false
+				}
+			}
+			for site := range p.Reads {
+				if avail != nil && !avail(site) {
+					t.Logf("seed %d: plan reads unavailable site %d", seed, site)
+					return false
+				}
+			}
+		}
+		got, want := PlanCost(plan, metas, costs), PlanCost(oracle, metas, costs)
+		if math.Abs(got-want) > 1e-6 {
+			t.Logf("seed %d: site-subset cost %v, ILP cost %v", seed, got, want)
 			return false
 		}
-		want, exact := ExactCost(metas, costs, nil, 0)
-		if !exact {
-			return true // instance too large for brute force; skip
-		}
-		got := PlanCost(plan, metas, costs)
-		return math.Abs(got-want) < 1e-6
+		return true
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 40, Rand: rng}); err != nil {
+	if err := quick.Check(check, &quick.Config{MaxCount: 60, Rand: rng}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestExactPlanLargeRequestUsesILP: a request spanning more than
+// bruteForceMaxSites sites is beyond the site-subset search, so ExactPlan
+// solves it with the ILP; the plan must be valid and no costlier than
+// greedy's.
+func TestExactPlanLargeRequestUsesILP(t *testing.T) {
+	// Five round-robin blocks cover every site.
+	for numSites := 15; numSites <= 18; numSites++ {
+		req, costs := scanRequest(5, numSites)
+		metas := req.Metas
+		rc := buildCandidates(metas, nil)
+		if len(rc.sites) <= bruteForceMaxSites {
+			t.Fatalf("instance spans %d sites, want > %d", len(rc.sites), bruteForceMaxSites)
+		}
+		if _, exact := ExactCost(metas, costs, nil, 1); exact {
+			t.Fatal("ExactCost claims exactness beyond the site-subset bound")
+		}
+		plan, err := ExactPlan(req, costs, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ValidatePlan(plan, metas, 1); err != nil {
+			t.Fatal(err)
+		}
+		greedy := greedyPlan(rc, costs, 1, nil)
+		if got, g := PlanCost(plan, metas, costs), PlanCost(greedy, metas, costs); got > g+1e-9 {
+			t.Fatalf("ILP plan cost %v > greedy %v", got, g)
+		}
+	}
+}
+
+// scanRequest has the straggler-scan request shape: nBlocks RS(2,2)
+// blocks of 50 KB chunks laid round-robin over numSites sites, with
+// random per-site costs.
+func scanRequest(nBlocks, numSites int) (PlanRequest, *model.SiteCosts) {
+	r := rand.New(rand.NewSource(int64(numSites)))
+	_, costs := randomInstance(r, numSites, 0)
+	metas := make(map[model.BlockID]*model.BlockMeta, nBlocks)
+	for b := 0; b < nBlocks; b++ {
+		sites := make([]model.SiteID, 4)
+		for c := range sites {
+			sites[c] = model.SiteID((b*4+c)%numSites + 1)
+		}
+		id := model.BlockID(fmt.Sprintf("blk-%d", b))
+		metas[id] = makeMeta(id, 2, 2, 50_000, sites...)
+	}
+	return PlanRequest{Metas: metas, Delta: 1}, costs
+}
+
+// TestExactPlanAllocs guards the background solve's cost on the
+// straggler-scan shape (8 blocks over 6 sites): the ILP it replaced made
+// about 1,900 allocations here.
+func TestExactPlanAllocs(t *testing.T) {
+	req, costs := scanRequest(8, 6)
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := ExactPlan(req, costs, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs >= 300 {
+		t.Fatalf("ExactPlan made %.0f allocs, want < 300", allocs)
+	}
+}
+
+func BenchmarkExactPlan(b *testing.B) {
+	for _, sites := range []int{6, 14} {
+		req, costs := scanRequest(8, sites)
+		b.Run(fmt.Sprintf("sites=%d", sites), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := ExactPlan(req, costs, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -80,7 +80,7 @@ type Params struct {
 	// compressed timescale scales the paper's <1 chunk/s throttle.
 	// Zero means 4.
 	MoverBatch int
-	// ExactSolvesPerInterval bounds background ILP solves per stats
+	// ExactSolvesPerInterval bounds background exact solves per stats
 	// interval, modelling the background worker's finite throughput.
 	ExactSolvesPerInterval int
 	// CoAccessSampleEvery records every Nth request into the co-access
