@@ -22,7 +22,7 @@
 //	blocks, breakdown, err := cluster.GetMulti([]ecstore.BlockID{"photo-123", "photo-124"})
 //
 // The packages under internal/ contain the full system: the Reed-Solomon
-// codec, the ILP solver, the cost-model planner and mover, the metadata,
+// codec, the cost-model planner (greedy and exact) and mover, the metadata,
 // statistics, storage and repair services, RPC bindings for multi-process
 // deployments, the deterministic cluster simulator, and the benchmark
 // harness that regenerates the paper's figures and tables (see DESIGN.md

@@ -55,10 +55,6 @@ type PlannerConfig struct {
 	// immediately so identical requests hit before the exact solve
 	// lands (it is replaced once the exact solution arrives).
 	CacheGreedyOnMiss bool
-	// MaxExactNodes caps branch-and-bound effort per background solve of
-	// a request spanning more than 14 sites (smaller ones are solved by
-	// site-subset enumeration and ignore it); 0 means the solver default.
-	MaxExactNodes int
 	// Seed drives random tie-breaking.
 	Seed int64
 	// Metrics optionally exports plan-cache instrumentation (hit/miss/
@@ -301,13 +297,6 @@ func (p *Planner) UpgradePending(max int) int {
 	return done
 }
 
-// PendingExact returns the number of queued exact solves (manual mode).
-func (p *Planner) PendingExact() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.queue)
-}
-
 // CacheLen returns the number of cached plans.
 func (p *Planner) CacheLen() int {
 	p.mu.Lock()
@@ -335,10 +324,13 @@ func (p *Planner) MemoryFootprint() int {
 	return bytes
 }
 
-// solveAndInstall computes the exact plan and installs it in the cache,
-// keeping the greedy plan if the exact solve fails or is not better.
+// solveAndInstall computes the exact plan and installs it in the cache.
+// Only proven-optimal plans are installed, so an installed plan never
+// costs more than greedy's; when the solve fails or stops at its search
+// limits, whatever the cache held (the greedy plan, with
+// CacheGreedyOnMiss) stays.
 func (p *Planner) solveAndInstall(req PlanRequest, costs *model.SiteCosts, key string) {
-	exact, err := ExactPlan(req, costs, p.cfg.MaxExactNodes)
+	exact, err := ExactPlan(req, costs)
 	if err != nil {
 		return
 	}

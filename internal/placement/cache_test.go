@@ -37,7 +37,7 @@ func TestPlannerCacheMissThenHit(t *testing.T) {
 	if src2 != SourceCache {
 		t.Fatalf("second plan source = %v, want cache", src2)
 	}
-	// With InlineExact the cached plan is the ILP solution.
+	// With InlineExact the cached plan is the exact solution.
 	want, _ := ExactCost(metas, costs, nil, 0)
 	if got := PlanCost(plan2, metas, costs); got > want+1e-6 {
 		t.Fatalf("cached plan cost %v > optimal %v", got, want)
@@ -130,7 +130,7 @@ func TestPlannerBackgroundSolve(t *testing.T) {
 	if _, _, err := p.Plan(PlanRequest{Metas: metas}, costs); err != nil {
 		t.Fatal(err)
 	}
-	p.Close() // waits for the background ILP solve
+	p.Close() // waits for the background exact solve
 	_, src, err := p.Plan(PlanRequest{Metas: metas}, costs)
 	if err != nil {
 		t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"ecstore/internal/ilp"
 	"ecstore/internal/model"
 )
 
@@ -187,166 +186,17 @@ func greedyPlan(rc *requestCandidates, costs *model.SiteCosts, delta int, rng *r
 
 // ExactPlan solves the access-planning problem of Equation 4 exactly, with
 // Equation 2's right-hand side raised by Delta for late binding (Section
-// IV-B1). A request whose candidates span at most bruteForceMaxSites sites
-// is solved by enumerating accessed-site subsets (bestSiteMask), which is
-// deterministic and takes microseconds; a larger one goes to the ILP's
-// branch and bound, capped at maxNodes nodes (<= 0 means 5000).
-func ExactPlan(req PlanRequest, costs *model.SiteCosts, maxNodes int) (*model.AccessPlan, error) {
+// IV-B1), by branch and bound over accessed-site sets (bestSiteMask). The
+// plan is deterministic. A request the search cannot prove optimal within
+// its limits (more than 64 sites, or 65,536 nodes) returns errNotExact.
+func ExactPlan(req PlanRequest, costs *model.SiteCosts) (*model.AccessPlan, error) {
 	rc := buildCandidates(req.Metas, req.Available)
 	if !rc.feasible() {
 		return nil, ErrInfeasible
 	}
-	if len(rc.sites) > bruteForceMaxSites {
-		return ilpPlan(rc, costs, req.Delta, maxNodes)
-	}
-	mask, _, blocks := bestSiteMask(rc, costs, req.Delta)
-	return subsetPlan(rc, mask, blocks), nil
-}
-
-// ilpPlan solves Equation 4 as an integer program with branch and bound.
-// Variables: one s_ij per existing chunk on an available site, one a_j per
-// candidate site. Objective and constraints follow Equations 1-3. The
-// tests also use it as the oracle for bestSiteMask.
-func ilpPlan(rc *requestCandidates, costs *model.SiteCosts, delta, maxNodes int) (*model.AccessPlan, error) {
-	if maxNodes <= 0 {
-		maxNodes = 5000
-	}
-	// Variable layout: chunk-selection variables first, then site vars.
-	type chunkVar struct {
-		c     candidate
-		block model.BlockID
-	}
-	var chunkVars []chunkVar
-	chunkIdx := make(map[model.ChunkRef]int)
-	for _, id := range rc.blocks {
-		for _, c := range rc.cands[id] {
-			chunkIdx[c.ref] = len(chunkVars)
-			chunkVars = append(chunkVars, chunkVar{c: c, block: id})
-		}
-	}
-	siteVarBase := len(chunkVars)
-	siteIdx := make(map[model.SiteID]int, len(rc.sites))
-	for i, s := range rc.sites {
-		siteIdx[s] = siteVarBase + i
-	}
-	nVars := siteVarBase + len(rc.sites)
-
-	p := &ilp.Problem{
-		NumVars:     nVars,
-		Objective:   make([]float64, nVars),
-		UpperBounds: make([]float64, nVars),
-	}
-	for i := range p.UpperBounds {
-		p.UpperBounds[i] = 1
-	}
-	for i, cv := range chunkVars {
-		p.Objective[i] = costs.MCost(cv.c.site) * float64(rc.metas[cv.block].ChunkSize)
-	}
-	for _, s := range rc.sites {
-		p.Objective[siteIdx[s]] = costs.OCost(s)
-	}
-
-	// Equation 2: sum of selected chunks per block >= k_i (+ delta).
-	for _, id := range rc.blocks {
-		vars := make([]int, 0, len(rc.cands[id]))
-		coeffs := make([]float64, 0, len(rc.cands[id]))
-		for _, c := range rc.cands[id] {
-			vars = append(vars, chunkIdx[c.ref])
-			coeffs = append(coeffs, 1)
-		}
-		p.Constraints = append(p.Constraints, ilp.Constraint{
-			Vars: vars, Coeffs: coeffs, Op: ilp.GE, RHS: float64(rc.need(id, delta)),
-		})
-	}
-
-	// Equation 3: |Q|·a_j - Σ_i s_ij >= 0 for every candidate site.
-	q := float64(len(rc.blocks))
-	for _, s := range rc.sites {
-		vars := []int{siteIdx[s]}
-		coeffs := []float64{q}
-		for _, id := range rc.blocks {
-			for _, c := range rc.cands[id] {
-				if c.site == s {
-					vars = append(vars, chunkIdx[c.ref])
-					coeffs = append(coeffs, -1)
-				}
-			}
-		}
-		p.Constraints = append(p.Constraints, ilp.Constraint{Vars: vars, Coeffs: coeffs, Op: ilp.GE, RHS: 0})
-	}
-
-	ints := make([]int, nVars)
-	for i := range ints {
-		ints[i] = i
-	}
-	sol, err := ilp.SolveInt(p, ints, ilp.SolveOptions{MaxNodes: maxNodes})
+	mask, _, blocks, err := bestSiteMask(rc, costs, req.Delta)
 	if err != nil {
-		return nil, fmt.Errorf("solve access ILP: %w", err)
+		return nil, err
 	}
-	if sol.Status == ilp.StatusInfeasible {
-		return nil, ErrInfeasible
-	}
-	if sol.X == nil {
-		// Node limit without incumbent: callers fall back to greedy.
-		return nil, fmt.Errorf("placement: ILP node limit reached without incumbent")
-	}
-
-	plan := model.NewAccessPlan()
-	for i, cv := range chunkVars {
-		if sol.X[i] > 0.5 {
-			plan.Add(cv.c.site, cv.c.ref)
-		}
-	}
-	// Branch and bound can select more chunks than needed when ties are
-	// free; trim any surplus beyond need to keep plans minimal.
-	trimSurplus(plan, rc, delta, costs)
-	return plan, nil
-}
-
-// trimSurplus removes selected chunks beyond each block's requirement,
-// dropping the most expensive first, and prunes now-empty sites. Only
-// ilpPlan needs it: the site-subset solver never selects a surplus.
-func trimSurplus(plan *model.AccessPlan, rc *requestCandidates, delta int, costs *model.SiteCosts) {
-	counts := make(map[model.BlockID]int)
-	for _, refs := range plan.Reads {
-		for _, ref := range refs {
-			counts[ref.Block]++
-		}
-	}
-	for _, id := range rc.blocks {
-		need := rc.need(id, delta)
-		for counts[id] > need {
-			// Drop the selected chunk of this block whose site read
-			// cost is highest, preferring sites with multiple reads
-			// (so site overheads stay amortized).
-			var worstSite model.SiteID = model.NoSite
-			worstIdx := -1
-			worstCost := -1.0
-			for site, refs := range plan.Reads {
-				for i, ref := range refs {
-					if ref.Block != id {
-						continue
-					}
-					c := costs.MCost(site) * float64(rc.metas[id].ChunkSize)
-					if len(refs) == 1 {
-						c += costs.OCost(site)
-					}
-					if c > worstCost {
-						worstCost = c
-						worstSite = site
-						worstIdx = i
-					}
-				}
-			}
-			if worstIdx < 0 {
-				break
-			}
-			refs := plan.Reads[worstSite]
-			plan.Reads[worstSite] = append(refs[:worstIdx], refs[worstIdx+1:]...)
-			if len(plan.Reads[worstSite]) == 0 {
-				delete(plan.Reads, worstSite)
-			}
-			counts[id]--
-		}
-	}
+	return subsetPlan(rc, mask, blocks), nil
 }

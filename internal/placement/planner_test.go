@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -122,7 +123,7 @@ func TestExactPlanOptimal(t *testing.T) {
 		"b": makeMeta("b", 2, 2, 100, 3, 4, 5, 6),
 	}
 	costs := uniformCosts(5, 0.001)
-	plan, err := ExactPlan(PlanRequest{Metas: metas}, costs, 0)
+	plan, err := ExactPlan(PlanRequest{Metas: metas}, costs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,12 +134,9 @@ func TestExactPlanOptimal(t *testing.T) {
 	if got := plan.SitesAccessed(); got != 2 {
 		t.Fatalf("exact plan accessed %d sites, want 2: %+v", got, plan.Reads)
 	}
-	oracle, err := ilpPlan(buildCandidates(metas, nil), costs, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := PlanCost(plan, metas, costs), PlanCost(oracle, metas, costs); math.Abs(got-want) > 1e-6 {
-		t.Fatalf("site-subset cost %v != ILP cost %v", got, want)
+	_, want := bruteForcePlan(buildCandidates(metas, nil), costs, 0)
+	if got := PlanCost(plan, metas, costs); math.Abs(got-want) > 1e-9 {
+		t.Fatalf("site-subset cost %v != brute-force cost %v", got, want)
 	}
 }
 
@@ -147,7 +145,7 @@ func TestExactPlanRespectsAvailability(t *testing.T) {
 		"a": makeMeta("a", 2, 2, 100, 1, 2, 3, 4),
 	}
 	avail := func(s model.SiteID) bool { return s != 3 && s != 4 }
-	plan, err := ExactPlan(PlanRequest{Metas: metas, Available: avail}, uniformCosts(5, 0.001), 0)
+	plan, err := ExactPlan(PlanRequest{Metas: metas, Available: avail}, uniformCosts(5, 0.001))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +161,7 @@ func TestExactPlanInfeasible(t *testing.T) {
 		"a": makeMeta("a", 2, 1, 100, 1, 2, 3),
 	}
 	avail := func(s model.SiteID) bool { return s == 2 }
-	if _, err := ExactPlan(PlanRequest{Metas: metas, Available: avail}, uniformCosts(5, 0.001), 0); !errors.Is(err, ErrInfeasible) {
+	if _, err := ExactPlan(PlanRequest{Metas: metas, Available: avail}, uniformCosts(5, 0.001)); !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
 }
@@ -174,7 +172,7 @@ func TestLateBindingDelta(t *testing.T) {
 	}
 	costs := uniformCosts(5, 0.001)
 	for _, delta := range []int{0, 1, 2} {
-		plan, err := ExactPlan(PlanRequest{Metas: metas, Delta: delta}, costs, 0)
+		plan, err := ExactPlan(PlanRequest{Metas: metas, Delta: delta}, costs)
 		if err != nil {
 			t.Fatalf("delta %d: %v", delta, err)
 		}
@@ -186,7 +184,7 @@ func TestLateBindingDelta(t *testing.T) {
 		}
 	}
 	// Delta beyond available chunks is capped.
-	plan, err := ExactPlan(PlanRequest{Metas: metas, Delta: 5}, costs, 0)
+	plan, err := ExactPlan(PlanRequest{Metas: metas, Delta: 5}, costs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,17 +221,71 @@ func randomInstance(r *rand.Rand, numSites, numBlocks int) (map[model.BlockID]*m
 	return metas, costs
 }
 
-// TestExactPlanMatchesILPProperty is the core solver correctness property:
-// on random small instances, with and without late binding and an
-// availability filter, the site-subset plan costs exactly what the ILP
-// formulation of Equation 4 (solved independently by branch and bound)
-// costs, and both plans are valid.
-func TestExactPlanMatchesILPProperty(t *testing.T) {
+// bruteForcePlan is the tests' independent oracle for Equation 4, taken
+// straight from Equations 1-3: it tries every per-block choice of need
+// candidates, prices each resulting plan with PlanCost, and returns the
+// cheapest; among plans of equal cost (within a relative 1e-9) it keeps
+// the one whose accessed-site set, as a bit set over rc.sites, is lowest.
+func bruteForcePlan(rc *requestCandidates, costs *model.SiteCosts, delta int) (*model.AccessPlan, float64) {
+	bit := make(map[model.SiteID]uint64, len(rc.sites))
+	for i, s := range rc.sites {
+		bit[s] = 1 << i
+	}
+	var (
+		best     *model.AccessPlan
+		bestCost float64
+		bestMask uint64
+		chosen   []candidate
+	)
+	var block func(bi int)
+	block = func(bi int) {
+		if bi == len(rc.blocks) {
+			plan := model.NewAccessPlan()
+			var mask uint64
+			for _, c := range chosen {
+				plan.Add(c.site, c.ref)
+				mask |= bit[c.site]
+			}
+			cost := PlanCost(plan, rc.metas, costs)
+			tol := 1e-9 * math.Abs(bestCost)
+			if best == nil || cost < bestCost-tol || cost <= bestCost+tol && mask < bestMask {
+				best, bestCost, bestMask = plan, cost, mask
+			}
+			return
+		}
+		cands := rc.cands[rc.blocks[bi]]
+		var pick func(from, left int)
+		pick = func(from, left int) {
+			if left == 0 {
+				block(bi + 1)
+				return
+			}
+			for i := from; i <= len(cands)-left; i++ {
+				chosen = append(chosen, cands[i])
+				pick(i+1, left-1)
+				chosen = chosen[:len(chosen)-1]
+			}
+		}
+		pick(0, rc.need(rc.blocks[bi], delta))
+	}
+	block(0)
+	return best, bestCost
+}
+
+// TestExactPlanMatchesBruteForceProperty is the core solver correctness
+// property: on random small instances, with and without late binding, an
+// availability filter and all-equal costs (where many site sets tie), the
+// site-subset plan is valid, costs what the brute-force oracle costs, and
+// accesses the same (lowest optimal) site set.
+func TestExactPlanMatchesBruteForceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	check := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		numSites := 4 + r.Intn(5) // 4..8
 		metas, costs := randomInstance(r, numSites, 1+r.Intn(3))
+		if r.Intn(2) == 0 {
+			costs = uniformCosts(5, 0.001)
+		}
 		delta := r.Intn(2)
 		var avail func(model.SiteID) bool
 		if r.Intn(2) == 0 {
@@ -243,39 +295,34 @@ func TestExactPlanMatchesILPProperty(t *testing.T) {
 		req := PlanRequest{Metas: metas, Delta: delta, Available: avail}
 
 		rc := buildCandidates(metas, avail)
-		plan, err := ExactPlan(req, costs, 0)
+		plan, err := ExactPlan(req, costs)
 		if errors.Is(err, ErrInfeasible) {
 			return !rc.feasible()
 		}
-		oracle, oerr := ilpPlan(rc, costs, delta, 20000)
-		if err != nil || oerr != nil {
-			t.Logf("seed %d: ExactPlan err %v, ILP err %v", seed, err, oerr)
+		if err != nil {
+			t.Logf("seed %d: %v", seed, err)
+			return false
+		}
+		oracle, want := bruteForcePlan(rc, costs, delta)
+		if got := PlanCost(plan, metas, costs); math.Abs(got-want) > 1e-9*want {
+			t.Logf("seed %d: site-subset cost %v, brute-force cost %v", seed, got, want)
+			return false
+		}
+		if !slices.Equal(plan.SortedSites(), oracle.SortedSites()) {
+			t.Logf("seed %d: site-subset sites %v, brute-force sites %v", seed, plan.SortedSites(), oracle.SortedSites())
 			return false
 		}
 		// ValidatePlan counts k+delta against every chunk, reachable or
 		// not, so the surplus is checked here against the reachable ones.
-		for _, p := range []*model.AccessPlan{plan, oracle} {
-			if err := ValidatePlan(p, metas, 0); err != nil {
-				t.Logf("seed %d: %v", seed, err)
+		if err := ValidatePlan(plan, metas, 0); err != nil {
+			t.Logf("seed %d: %v", seed, err)
+			return false
+		}
+		for _, id := range rc.blocks {
+			if got := plan.ChunksFor(id); got != rc.need(id, delta) {
+				t.Logf("seed %d: block %s reads %d chunks, want %d", seed, id, got, rc.need(id, delta))
 				return false
 			}
-			for _, id := range rc.blocks {
-				if got := p.ChunksFor(id); got != rc.need(id, delta) {
-					t.Logf("seed %d: block %s reads %d chunks, want %d", seed, id, got, rc.need(id, delta))
-					return false
-				}
-			}
-			for site := range p.Reads {
-				if avail != nil && !avail(site) {
-					t.Logf("seed %d: plan reads unavailable site %d", seed, site)
-					return false
-				}
-			}
-		}
-		got, want := PlanCost(plan, metas, costs), PlanCost(oracle, metas, costs)
-		if math.Abs(got-want) > 1e-6 {
-			t.Logf("seed %d: site-subset cost %v, ILP cost %v", seed, got, want)
-			return false
 		}
 		return true
 	}
@@ -284,33 +331,62 @@ func TestExactPlanMatchesILPProperty(t *testing.T) {
 	}
 }
 
-// TestExactPlanLargeRequestUsesILP: a request spanning more than
-// bruteForceMaxSites sites is beyond the site-subset search, so ExactPlan
-// solves it with the ILP; the plan must be valid and no costlier than
-// greedy's.
-func TestExactPlanLargeRequestUsesILP(t *testing.T) {
+// TestExactPlanLargeRequest: the search is exact beyond 14 sites (the
+// straggler-scan shape over 15-18 sites matches the brute force's 1,024
+// selections), and where it runs out of nodes (32 all-equal sites, where
+// countless site sets tie) ExactPlan reports errNotExact, ExactCost falls
+// back to greedy's cost, and a planner keeps its greedy plan cached.
+func TestExactPlanLargeRequest(t *testing.T) {
 	// Five round-robin blocks cover every site.
 	for numSites := 15; numSites <= 18; numSites++ {
 		req, costs := scanRequest(5, numSites)
 		metas := req.Metas
 		rc := buildCandidates(metas, nil)
-		if len(rc.sites) <= bruteForceMaxSites {
-			t.Fatalf("instance spans %d sites, want > %d", len(rc.sites), bruteForceMaxSites)
+		if len(rc.sites) != numSites {
+			t.Fatalf("instance spans %d sites, want %d", len(rc.sites), numSites)
 		}
-		if _, exact := ExactCost(metas, costs, nil, 1); exact {
-			t.Fatal("ExactCost claims exactness beyond the site-subset bound")
+		cost, exact := ExactCost(metas, costs, nil, 1)
+		if !exact {
+			t.Fatalf("%d sites: ExactCost is not exact", numSites)
 		}
-		plan, err := ExactPlan(req, costs, 0)
+		plan, err := ExactPlan(req, costs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := ValidatePlan(plan, metas, 1); err != nil {
 			t.Fatal(err)
 		}
-		greedy := greedyPlan(rc, costs, 1, nil)
-		if got, g := PlanCost(plan, metas, costs), PlanCost(greedy, metas, costs); got > g+1e-9 {
-			t.Fatalf("ILP plan cost %v > greedy %v", got, g)
+		_, want := bruteForcePlan(rc, costs, 1)
+		if got := PlanCost(plan, metas, costs); math.Abs(got-want) > 1e-9*want || math.Abs(cost-want) > 1e-9*want {
+			t.Fatalf("%d sites: ExactPlan cost %v, ExactCost %v, brute force %v", numSites, got, cost, want)
 		}
+	}
+
+	req, _ := scanRequest(8, 32)
+	costs := uniformCosts(5, 0.001)
+	if _, err := ExactPlan(req, costs); !errors.Is(err, errNotExact) {
+		t.Fatalf("32 equal sites: err = %v, want errNotExact", err)
+	}
+	greedy := greedyPlan(buildCandidates(req.Metas, nil), costs, 1, nil)
+	cost, exact := ExactCost(req.Metas, costs, nil, 1)
+	if want := PlanCost(greedy, req.Metas, costs); exact || cost != want {
+		t.Fatalf("ExactCost = %v, %v; want greedy's %v, false", cost, exact, want)
+	}
+	p := NewPlanner(PlannerConfig{Strategy: StrategyCost, Delta: 1, InlineExact: true, CacheGreedyOnMiss: true, Seed: 1})
+	defer p.Close()
+	first, src, err := p.Plan(req, costs)
+	if err != nil || src != SourceGreedy {
+		t.Fatalf("first plan: %v, %v", src, err)
+	}
+	cached, src, err := p.Plan(req, costs)
+	if err != nil || src != SourceCache {
+		t.Fatalf("second plan: %v, %v", src, err)
+	}
+	if !slices.Equal(cached.SortedSites(), first.SortedSites()) || cached.ChunkCount() != first.ChunkCount() {
+		t.Fatalf("cached plan %v differs from the greedy plan %v", cached.Reads, first.Reads)
+	}
+	if st := p.Stats(); st.Exact != 0 {
+		t.Fatalf("stats = %+v, want no exact install", st)
 	}
 }
 
@@ -332,13 +408,13 @@ func scanRequest(nBlocks, numSites int) (PlanRequest, *model.SiteCosts) {
 	return PlanRequest{Metas: metas, Delta: 1}, costs
 }
 
-// TestExactPlanAllocs guards the background solve's cost on the
-// straggler-scan shape (8 blocks over 6 sites): the ILP it replaced made
-// about 1,900 allocations here.
+// TestExactPlanAllocs guards the background solve's allocations on the
+// straggler-scan shape (8 blocks over 6 sites), where every plan-cache
+// miss starts one solve that competes with requests for the cores.
 func TestExactPlanAllocs(t *testing.T) {
 	req, costs := scanRequest(8, 6)
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := ExactPlan(req, costs, 0); err != nil {
+		if _, err := ExactPlan(req, costs); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -348,12 +424,12 @@ func TestExactPlanAllocs(t *testing.T) {
 }
 
 func BenchmarkExactPlan(b *testing.B) {
-	for _, sites := range []int{6, 14} {
+	for _, sites := range []int{6, 14, 32} {
 		req, costs := scanRequest(8, sites)
 		b.Run(fmt.Sprintf("sites=%d", sites), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := ExactPlan(req, costs, 0); err != nil {
+				if _, err := ExactPlan(req, costs); err != nil {
 					b.Fatal(err)
 				}
 			}

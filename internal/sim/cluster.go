@@ -318,7 +318,6 @@ func New(p Params, opt Options) (*Cluster, error) {
 		Delta:             opt.Delta,
 		ManualExact:       true,
 		CacheGreedyOnMiss: true,
-		MaxExactNodes:     12,
 		CacheSize:         1 << 15,
 		Seed:              p.Seed + 2,
 	})
@@ -560,7 +559,7 @@ type phaseAware interface {
 }
 
 // scheduleStats runs the statistics service (load reports, request rate,
-// background ILP budget) and the faster probe loop feeding o_j.
+// background exact-solve budget) and the faster probe loop feeding o_j.
 func (c *Cluster) scheduleStats() {
 	var tick func()
 	tick = func() {
