@@ -162,12 +162,12 @@ func TestCLIUsageErrors(t *testing.T) {
 	base := []string{"-meta", metaAddr, "-sites", sites}
 
 	cases := [][]string{
-		{},                           // no command
-		append(base, "put"),          // missing args
-		append(base, "get"),          // missing key
-		append(base, "del"),          // missing key
-		append(base, "frobnicate"),   // unknown command
-		{"-sites", "", "get", "k"},   // missing sites
+		{},                         // no command
+		append(base, "put"),        // missing args
+		append(base, "get"),        // missing key
+		append(base, "del"),        // missing key
+		append(base, "frobnicate"), // unknown command
+		{"-sites", "", "get", "k"}, // missing sites
 		append(base, "put", "k", "/does/not/exist"),
 	}
 	for i, args := range cases {

@@ -171,11 +171,10 @@ func Open(cfg Config) (*Cluster, error) {
 		Metrics:       cfg.Metrics,
 	}
 	coreCfg.Client = core.Config{
-		K:           cfg.K,
-		R:           cfg.R,
-		Delta:       cfg.LateBindingDelta,
-		Seed:        cfg.Seed,
-		InlineExact: true,
+		K:     cfg.K,
+		R:     cfg.R,
+		Delta: cfg.LateBindingDelta,
+		Seed:  cfg.Seed,
 	}
 	switch cfg.Scheme {
 	case 0, Erasure:

@@ -33,7 +33,6 @@ func run() error {
 		EnableScrub:  true,
 		Metrics:      reg,
 	}
-	cfg.Client.InlineExact = true
 	cluster, err := core.NewCluster(cfg)
 	if err != nil {
 		return err

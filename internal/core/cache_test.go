@@ -491,7 +491,6 @@ func TestClientCloseStopsCacheMaintenance(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		cfg := cacheTestConfig()
 		cfg.CacheStaleTTL = time.Millisecond
-		cfg.InlineExact = true
 		c, err := NewCluster(ClusterConfig{NumSites: 4, Client: cfg})
 		if err != nil {
 			t.Fatal(err)

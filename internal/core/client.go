@@ -85,11 +85,6 @@ type Config struct {
 	Strategy placement.Strategy
 	// Delta enables late binding: fetch k+Delta chunks, use the first k.
 	Delta int
-	// PlaceStrategy governs where new chunks land.
-	PlaceStrategy placement.PlaceStrategy
-	// InlineExact makes the planner run exact solves synchronously (tests and
-	// simulation); production uses the background worker.
-	InlineExact bool
 	// Seed drives all client-side randomness.
 	Seed int64
 	// DefaultO and DefaultM seed the cost model before probes exist
@@ -104,18 +99,11 @@ type Config struct {
 	// so one hung site costs at most one timeout per fetch round; zero
 	// disables per-chunk deadlines.
 	ChunkTimeout time.Duration
-	// ProbeTimeout bounds each liveness probe. Zero means 2s.
-	ProbeTimeout time.Duration
 	// Retry tunes per-chunk and per-probe retransmission.
 	Retry RetryPolicy
 	// HedgeDelay, when positive, hedges planned chunk reads that have
 	// not satisfied their block after this fixed delay.
 	HedgeDelay time.Duration
-	// HedgeQuantile, when in (0,1) and HedgeDelay is zero, derives the
-	// hedge delay adaptively from the observed fetch-latency quantile
-	// (e.g. 0.95 hedges reads slower than the p95 fetch) once enough
-	// requests have been recorded. Requires metrics to be attached.
-	HedgeQuantile float64
 	// PutFanout bounds how many chunk stores one Put issues concurrently,
 	// so a burst of writes cannot spawn an unbounded goroutine swarm
 	// (k+r goroutines per in-flight Put). Zero means min(k+r, 8);
@@ -170,17 +158,11 @@ func (c Config) withDefaults() Config {
 	if c.Strategy == 0 {
 		c.Strategy = placement.StrategyCost
 	}
-	if c.PlaceStrategy == 0 {
-		c.PlaceStrategy = placement.PlaceRandom
-	}
 	if c.DefaultO == 0 {
 		c.DefaultO = 5
 	}
 	if c.DefaultM == 0 {
 		c.DefaultM = 1.0 / (100 * 1024) // m_j=1 per 100 KB chunk at o_j=5
-	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = 2 * time.Second
 	}
 	if c.PutFanout == 0 {
 		c.PutFanout = 8
@@ -198,9 +180,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// hedgeMinSamples is how many fetch observations the adaptive hedge
-// threshold requires before it activates.
-const hedgeMinSamples = 20
+// probeTimeout bounds each liveness probe.
+const probeTimeout = 2 * time.Second
 
 // Client is the EC-Store client service: the component applications link
 // against. It owns the erasure codec, the access planner (plan cache +
@@ -338,8 +319,6 @@ type Deps struct {
 	CoAccess *stats.CoAccessTracker
 	// Probes supplies o_j estimates; nil creates a private estimator.
 	Probes *stats.ProbeEstimator
-	// Loads supports load-aware placement; may be nil for PlaceRandom.
-	Loads *stats.LoadTracker
 	// Health is the per-site breaker set, shared with the mover and
 	// repair service so every component skips unhealthy sites
 	// consistently. Nil creates a private tracker.
@@ -382,7 +361,7 @@ func NewClient(cfg Config, deps Deps) (*Client, error) {
 			return nil, fmt.Errorf("build codec: %w", err)
 		}
 	}
-	placer, placerErr := placement.NewPlacer(cfg.PlaceStrategy, deps.Loads, cfg.Seed+1)
+	placer, placerErr := placement.NewPlacer(placement.PlaceRandom, nil, cfg.Seed+1)
 	if placerErr != nil {
 		return nil, placerErr
 	}
@@ -421,11 +400,10 @@ func NewClient(cfg Config, deps Deps) (*Client, error) {
 		meta:  deps.Meta,
 		sites: deps.Sites,
 		plan: placement.NewPlanner(placement.PlannerConfig{
-			Strategy:    cfg.Strategy,
-			Delta:       cfg.Delta,
-			InlineExact: cfg.InlineExact,
-			Seed:        cfg.Seed,
-			Metrics:     deps.Metrics,
+			Strategy: cfg.Strategy,
+			Delta:    cfg.Delta,
+			Seed:     cfg.Seed,
+			Metrics:  deps.Metrics,
 		}),
 		placer:   placer,
 		coaccess: coaccess,
@@ -445,10 +423,9 @@ func NewClient(cfg Config, deps Deps) (*Client, error) {
 	return cl, nil
 }
 
-// Close releases planner resources and stops the cache's background
-// maintenance goroutine, waiting for it to drain.
+// Close stops the cache's background maintenance goroutine, waiting for
+// it to drain.
 func (c *Client) Close() {
-	c.plan.Close()
 	c.cache.Close()
 }
 
@@ -763,11 +740,11 @@ func (c *Client) DeleteContext(ctx context.Context, id model.BlockID) error {
 // Closed breakers are always probed; open ones only once their backoff
 // admits a half-open recovery probe, so a down site is not hammered.
 //
-//lint:ignore ctxfirst context-free convenience entry over ProbeAllContext; each probe still carries cfg.ProbeTimeout
+//lint:ignore ctxfirst context-free convenience entry over ProbeAllContext; each probe still carries probeTimeout
 func (c *Client) ProbeAll() { c.ProbeAllContext(context.Background()) }
 
 // ProbeAllContext is ProbeAll under a caller-supplied context. Each probe
-// additionally carries the configured ProbeTimeout.
+// additionally carries the 2 s probe timeout.
 func (c *Client) ProbeAllContext(ctx context.Context) { c.probe.round(ctx) }
 
 // place selects destination sites for a new block's chunks under the

@@ -125,7 +125,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		Sites:    apis,
 		CoAccess: ctl.CoAccess,
 		Probes:   ctl.Probes,
-		Loads:    ctl.Loads,
 		Health:   ctl.Health,
 		Pressure: cfg.Pressure,
 		Metrics:  cfg.Metrics,

@@ -178,7 +178,7 @@ func (c *Control) planMove(context.Context) {
 // is the average response time of periodic load-status requests): the
 // client's ProbeAllContext, and Control's probe source.
 type prober struct {
-	cfg     Config // ProbeTimeout, Retry and DefaultO
+	cfg     Config // Retry and DefaultO
 	sites   map[model.SiteID]storage.SiteAPI
 	health  *health.Tracker
 	retry   *retrier
@@ -189,7 +189,7 @@ type prober struct {
 
 // round probes every site its breaker admits, in parallel: closed sites
 // always, open ones only once their backoff admits a half-open recovery
-// probe, so a down site is not hammered. Each probe carries ProbeTimeout
+// probe, so a down site is not hammered. Each probe carries probeTimeout
 // and the retry policy. The outcome feeds the breaker; a success's round
 // trip, scaled into cost-model units, feeds observe, and the site's load
 // report follows.
@@ -207,7 +207,7 @@ func (p *prober) round(ctx context.Context) {
 				if attempt > 0 && !p.retry.wait(ctx, attempt) {
 					break
 				}
-				pctx, cancel := context.WithTimeout(ctx, p.cfg.ProbeTimeout)
+				pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 				start := time.Now()
 				err := api.Probe(pctx)
 				if err == nil {

@@ -19,7 +19,6 @@ func newTestCluster(t testing.TB, cfg ClusterConfig) *Cluster {
 	if cfg.NumSites == 0 {
 		cfg.NumSites = 8
 	}
-	cfg.Client.InlineExact = true
 	c, err := NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -354,7 +353,6 @@ func TestPutEmptyID(t *testing.T) {
 func TestClusterStartStop(t *testing.T) {
 	cfg := ClusterConfig{NumSites: 6, EnableMover: true, EnableRepair: true,
 		StatsInterval: time.Millisecond, MoverInterval: time.Millisecond}
-	cfg.Client.InlineExact = true
 	c, err := NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)

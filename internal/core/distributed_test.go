@@ -83,7 +83,6 @@ func newDistributedCluster(t testing.TB, numSites int, cfg Config) *distributedC
 	}
 
 	d.meta, d.sites = metadata.NewClient(metaRPC), sites
-	cfg.InlineExact = true
 	client, err := NewClient(cfg, Deps{Meta: d.meta, Sites: sites})
 	if err != nil {
 		t.Fatal(err)

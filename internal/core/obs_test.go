@@ -12,8 +12,8 @@ import (
 // TestClusterObservabilityEndToEnd drives a real cluster through Put and
 // two Gets and checks that the shared registry saw the whole read path:
 // nonzero fetch/decode span counts, per-site storage counters, and the
-// plan cache going miss-then-hit (InlineExact installs the exact plan
-// synchronously, so the second Get must hit).
+// plan cache going miss-then-hit (the miss installs its plan before it
+// returns, so the second Get must hit).
 func TestClusterObservabilityEndToEnd(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := newTestCluster(t, ClusterConfig{Metrics: reg})

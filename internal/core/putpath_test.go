@@ -79,8 +79,7 @@ func TestPutFanoutBounded(t *testing.T) {
 	}
 	client, err := NewClient(Config{
 		K: 6, R: 3,
-		InlineExact: true,
-		PutFanout:   fanout,
+		PutFanout: fanout,
 	}, Deps{
 		Meta:  metadata.NewCatalog(siteIDs),
 		Sites: sites,

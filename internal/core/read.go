@@ -465,7 +465,7 @@ func (c *Client) fetchBlocks(ctx context.Context, s readSet, tr *obs.Trace, bd *
 	// R2: access planning.
 	t1 := time.Now()
 	sp := tr.StartSpan("plan")
-	plan, _, err := c.plan.Plan(req, c.costs())
+	plan, err := c.plan.Plan(req, c.costs())
 	sp.End()
 	if err != nil {
 		return nil, fmt.Errorf("plan access: %w", err)
@@ -493,7 +493,7 @@ func (c *Client) fetchBlocks(ctx context.Context, s readSet, tr *obs.Trace, bd *
 		prevFailed = nowFailed
 		c.obs.replans.Inc()
 		var planErr error
-		plan, _, planErr = c.plan.Plan(req, c.costs())
+		plan, planErr = c.plan.Plan(req, c.costs())
 		if planErr != nil {
 			sp.End()
 			return nil, fmt.Errorf("replan access: %w", planErr)
@@ -744,25 +744,19 @@ func (c *Client) fetchSite(ctx context.Context, site model.SiteID, refs []model.
 	}
 }
 
-// hedgeThreshold returns the current hedge trigger delay: HedgeDelay when
-// fixed, else the observed fetch-latency quantile once enough requests
-// have been recorded. Zero disables hedging.
+// hedgeThreshold returns the current hedge trigger delay, HedgeDelay.
+// Zero disables hedging.
 func (c *Client) hedgeThreshold() time.Duration {
-	th := time.Duration(0)
-	if c.cfg.HedgeDelay > 0 {
-		th = c.cfg.HedgeDelay
-	} else if c.cfg.HedgeQuantile > 0 && c.cfg.HedgeQuantile < 1 && c.obs.fetchH.Count() >= hedgeMinSamples {
-		if q := c.obs.fetchH.Quantile(c.cfg.HedgeQuantile); q > 0 {
-			th = time.Duration(q * float64(time.Second))
-		}
+	if c.cfg.HedgeDelay <= 0 {
+		return 0
 	}
 	// Under access-tier overload (gateway queue occupied), speculative
 	// duplicate reads only add load; shed them first.
-	if th > 0 && c.pressure.Overloaded() {
+	if c.pressure.Overloaded() {
 		c.obs.hedgesSuppressed.Inc()
 		return 0
 	}
-	return th
+	return c.cfg.HedgeDelay
 }
 
 // launchHedges issues at most one extra chunk read per unsatisfied block,

@@ -139,7 +139,6 @@ func TestRangeReadIsLateBound(t *testing.T) {
 		Delta:        1,
 		ChunkTimeout: 2 * time.Second,
 		StripeUnit:   256,
-		InlineExact:  true,
 		Seed:         5,
 	}, Deps{Meta: catalog, Sites: apis})
 	if err != nil {

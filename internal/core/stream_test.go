@@ -210,9 +210,8 @@ func TestStreamRangeUnderFaultInjection(t *testing.T) {
 		apis[id] = fs
 	}
 	client, err := NewClient(Config{
-		StripeUnit:  256,
-		InlineExact: true,
-		Retry:       RetryPolicy{MaxAttempts: 6, BaseBackoff: 1, MaxBackoff: 2},
+		StripeUnit: 256,
+		Retry:      RetryPolicy{MaxAttempts: 6, BaseBackoff: 1, MaxBackoff: 2},
 	}, Deps{Meta: catalog, Sites: apis})
 	if err != nil {
 		t.Fatal(err)

@@ -239,8 +239,8 @@ func TestStorageOverhead(t *testing.T) {
 func TestRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	check := func(kRaw, rRaw uint8, blockLenRaw uint16) bool {
-		k := int(kRaw%6) + 2  // [2, 7]
-		r := int(rRaw%4) + 1  // [1, 4]
+		k := int(kRaw%6) + 2 // [2, 7]
+		r := int(rRaw%4) + 1 // [1, 4]
 		blockLen := int(blockLenRaw % 4096)
 		c, err := NewCodec(k, r)
 		if err != nil {

@@ -46,7 +46,6 @@ func newChaosCluster(t *testing.T, numSites int, cfg core.Config, hcfg health.Co
 		wrapped[id] = faults.NewSite(svc, inj)
 		apis[id] = wrapped[id]
 	}
-	cfg.InlineExact = true
 	hcfg.Metrics = reg
 	client, err := core.NewClient(cfg, core.Deps{
 		Meta:    catalog,
@@ -285,7 +284,6 @@ func TestZoneOutageReadsStayAvailable(t *testing.T) {
 		EnableRepair: true,
 		RepairGrace:  -1, // repair immediately after the first failed probe
 	}
-	cfg.Client.InlineExact = true
 	cfg.Client.Seed = 53
 	c, err := core.NewCluster(cfg)
 	if err != nil {

@@ -26,8 +26,7 @@ func newGatewayCluster(t *testing.T, gwCfg Config) (*Gateway, *core.Cluster) {
 		NumSites: 6,
 		Client: core.Config{
 			K: 2, R: 2, Delta: 1,
-			InlineExact: true,
-			StripeUnit:  1 << 10, // small stripes so PutReader streams many segments
+			StripeUnit: 1 << 10, // small stripes so PutReader streams many segments
 		},
 	})
 	if err != nil {
@@ -164,7 +163,7 @@ func gwProxy(g *Gateway) Proxy { return g.proxy }
 func TestUnboundedRangeOffsets(t *testing.T) {
 	cl, err := core.NewCluster(core.ClusterConfig{
 		NumSites: 6,
-		Client:   core.Config{K: 2, R: 2, InlineExact: true, CacheBytes: 1 << 20, PackThreshold: 64, Seed: 11},
+		Client:   core.Config{K: 2, R: 2, CacheBytes: 1 << 20, PackThreshold: 64, Seed: 11},
 	})
 	if err != nil {
 		t.Fatal(err)

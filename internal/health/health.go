@@ -63,9 +63,6 @@ type Config struct {
 	// BackoffFactor multiplies the backoff on every re-open. Values
 	// below 1 are treated as 2.
 	BackoffFactor float64
-	// SuccessThreshold is how many half-open successes close the breaker.
-	// Zero means 1.
-	SuccessThreshold int
 	// Clock abstracts time for deterministic tests; nil uses time.Now.
 	Clock func() time.Time
 	// Metrics optionally exports breaker instrumentation. Nil disables it.
@@ -84,9 +81,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BackoffFactor < 1 {
 		c.BackoffFactor = 2
-	}
-	if c.SuccessThreshold <= 0 {
-		c.SuccessThreshold = 1
 	}
 	if c.Clock == nil {
 		c.Clock = time.Now
@@ -128,7 +122,6 @@ type Tracker struct {
 type breaker struct {
 	state         State
 	consecFails   int
-	successes     int
 	backoff       time.Duration
 	until         time.Time // when an open breaker admits a probe
 	probeInFlight bool
@@ -159,7 +152,6 @@ func (t *Tracker) advance(b *breaker) {
 	if b.state == Open && !t.cfg.Clock().Before(b.until) {
 		b.state = HalfOpen
 		b.probeInFlight = false
-		b.successes = 0
 		t.obs.toHalfOpen.Inc()
 	}
 }
@@ -206,14 +198,12 @@ func (t *Tracker) ReportSuccess(s model.SiteID) {
 	b.consecFails = 0
 	switch b.state {
 	case HalfOpen:
+		// One half-open success closes the breaker.
 		b.probeInFlight = false
-		b.successes++
-		if b.successes >= t.cfg.SuccessThreshold {
-			b.state = Closed
-			b.backoff = t.cfg.OpenBackoff
-			t.obs.toClosed.Inc()
-			t.obs.openSites.Add(-1)
-		}
+		b.state = Closed
+		b.backoff = t.cfg.OpenBackoff
+		t.obs.toClosed.Inc()
+		t.obs.openSites.Add(-1)
 	case Open:
 		// A straggler success from before the breaker opened; ignore.
 	}
@@ -249,7 +239,6 @@ func (t *Tracker) open(b *breaker, backoff time.Duration) {
 	b.backoff = backoff
 	b.until = t.cfg.Clock().Add(backoff)
 	b.consecFails = 0
-	b.successes = 0
 	b.probeInFlight = false
 	t.obs.toOpen.Inc()
 	t.obs.openSites.Add(1)
@@ -287,7 +276,6 @@ func (t *Tracker) Reset(s model.SiteID) {
 	}
 	b.state = Closed
 	b.consecFails = 0
-	b.successes = 0
 	b.probeInFlight = false
 	b.backoff = t.cfg.OpenBackoff
 }

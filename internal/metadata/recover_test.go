@@ -328,7 +328,10 @@ func TestKillBetweenSnapshotAndTruncate(t *testing.T) {
 	}
 
 	// Save the pre-compaction segments of every partition.
-	type saved struct{ path string; data []byte }
+	type saved struct {
+		path string
+		data []byte
+	}
 	var stale []saved
 	for i := 0; i < 2; i++ {
 		pdir := filepath.Join(dir, partDirName(i))

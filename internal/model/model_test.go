@@ -7,10 +7,10 @@ import (
 
 func TestBlockMetaChunkCounts(t *testing.T) {
 	cases := []struct {
-		name          string
-		meta          BlockMeta
-		wantTotal     int
-		wantRequired  int
+		name         string
+		meta         BlockMeta
+		wantTotal    int
+		wantRequired int
 	}{
 		{
 			name:         "erasure RS(2,2)",

@@ -104,9 +104,9 @@ func TestHistogramSingleValue(t *testing.T) {
 
 func TestHistogramOutOfRange(t *testing.T) {
 	h := newHistogram()
-	h.Observe(-3)          // clamped to 0
-	h.Observe(1e9)         // beyond the last bound: counted in overflow bucket
-	h.Observe(math.NaN())  // clamped to 0
+	h.Observe(-3)         // clamped to 0
+	h.Observe(1e9)        // beyond the last bound: counted in overflow bucket
+	h.Observe(math.NaN()) // clamped to 0
 	if got := h.Count(); got != 3 {
 		t.Errorf("count = %d, want 3", got)
 	}

@@ -41,25 +41,11 @@ type PlannerConfig struct {
 	Delta int
 	// CacheSize bounds the plan cache entries; 0 means 4096.
 	CacheSize int
-	// InlineExact makes cache misses run the exact solve synchronously
-	// after returning the greedy plan, emulating the paper's background
-	// worker deterministically (used by tests). When false a real
-	// background goroutine performs the solve.
-	InlineExact bool
-	// ManualExact queues exact solves instead of spawning goroutines;
-	// the owner drains the queue with UpgradePending. The discrete-event
-	// simulator uses this to model the background worker's finite
-	// throughput deterministically. Takes precedence over InlineExact.
-	ManualExact bool
-	// CacheGreedyOnMiss installs the greedy plan in the cache
-	// immediately so identical requests hit before the exact solve
-	// lands (it is replaced once the exact solution arrives).
-	CacheGreedyOnMiss bool
 	// Seed drives random tie-breaking.
 	Seed int64
 	// Metrics optionally exports plan-cache instrumentation (hit/miss/
-	// greedy-fallback/exact-upgrade counts, cache size, planning latency)
-	// into a shared registry. Nil disables it.
+	// exact/greedy counts, cache size, planning latency) into a shared
+	// registry. Nil disables it.
 	Metrics *obs.Registry
 }
 
@@ -82,16 +68,17 @@ func newPlannerObs(reg *obs.Registry) plannerObs {
 	return plannerObs{
 		hits:      reg.Counter("plan_cache_hits_total", "plans served from the cache"),
 		misses:    reg.Counter("plan_cache_misses_total", "requests not found in the cache"),
-		greedy:    reg.Counter("plan_greedy_total", "plans served by the greedy fallback"),
-		exact:     reg.Counter("plan_exact_total", "exact plans installed (background upgrades)"),
+		greedy:    reg.Counter("plan_greedy_total", "cache misses served by the greedy heuristic (exact search past its limits or out of budget)"),
+		exact:     reg.Counter("plan_exact_total", "cache misses served by the exact solve"),
 		random:    reg.Counter("plan_random_total", "plans served by the random baseline strategy"),
 		evictions: reg.Counter("plan_cache_evictions_total", "cached plans dropped (capacity or invalidation)"),
 		entries:   reg.Gauge("plan_cache_entries", "plans currently cached"),
-		latency:   reg.Histogram("plan_seconds", "access-planning latency (cache lookup + greedy/random path)"),
+		latency:   reg.Histogram("plan_seconds", "access-planning latency (cache lookup, plus the exact or greedy solve on a miss)"),
 	}
 }
 
-// PlannerStats counts plan provenance for instrumentation.
+// PlannerStats counts plan provenance for instrumentation. Exact and
+// Greedy split the misses by how they were solved.
 type PlannerStats struct {
 	Hits   int64
 	Misses int64
@@ -110,9 +97,10 @@ func (s PlannerStats) HitRate() float64 {
 }
 
 // Planner produces access plans according to a configured strategy,
-// caching exact solutions as described in Section V-B1: a cache miss is
-// served by the greedy heuristic while the exact solution is computed
-// in the background and installed for future requests.
+// caching them as described in Section V-B1. A cache miss solves Equation
+// 4 exactly on the caller's goroutine; the greedy heuristic serves it only
+// when the search stops at its limits or the exact-solve budget
+// (LimitExact) is spent. Either way the plan is cached for later requests.
 type Planner struct {
 	cfg PlannerConfig
 	obs plannerObs
@@ -122,21 +110,9 @@ type Planner struct {
 	cache map[string]*model.AccessPlan
 	order []string // FIFO eviction order
 	stats PlannerStats
-
-	// background solve machinery (real mode).
-	wg      sync.WaitGroup
-	pending map[string]bool
-	closed  bool
-
-	// manual-mode solve queue (simulation mode).
-	queue []pendingSolve
-}
-
-// pendingSolve is a queued exact-solve job (manual mode).
-type pendingSolve struct {
-	req   PlanRequest
-	costs *model.SiteCosts
-	key   string
+	// exactLeft is how many misses may still be solved exactly; negative
+	// means every miss is.
+	exactLeft int
 }
 
 // NewPlanner returns a planner with the given configuration.
@@ -148,20 +124,23 @@ func NewPlanner(cfg PlannerConfig) *Planner {
 		cfg.CacheSize = 4096
 	}
 	return &Planner{
-		cfg:     cfg,
-		obs:     newPlannerObs(cfg.Metrics),
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		cache:   make(map[string]*model.AccessPlan),
-		pending: make(map[string]bool),
+		cfg:       cfg,
+		obs:       newPlannerObs(cfg.Metrics),
+		rng:       rand.New(rand.NewSource(cfg.Seed)),
+		cache:     make(map[string]*model.AccessPlan),
+		exactLeft: -1,
 	}
 }
 
-// Close waits for in-flight background solves to finish.
-func (p *Planner) Close() {
+// LimitExact allows the next n cache misses to be solved exactly, until the
+// next call; later misses are served greedily. The discrete-event simulator
+// calls it once per statistics interval to model the paper's background
+// solver, whose throughput is finite. A planner that never calls it solves
+// every miss exactly.
+func (p *Planner) LimitExact(n int) {
 	p.mu.Lock()
-	p.closed = true
-	p.mu.Unlock()
-	p.wg.Wait()
+	defer p.mu.Unlock()
+	p.exactLeft = max(n, 0)
 }
 
 // Strategy returns the configured access strategy.
@@ -192,7 +171,7 @@ func (p *Planner) InvalidateAll() {
 
 // Plan produces an access plan for the request. The returned plan is a
 // copy; callers may mutate it.
-func (p *Planner) Plan(req PlanRequest, costs *model.SiteCosts) (*model.AccessPlan, PlanSource, error) {
+func (p *Planner) Plan(req PlanRequest, costs *model.SiteCosts) (*model.AccessPlan, error) {
 	req.Delta = p.cfg.Delta
 	start := time.Now()
 	defer func() { p.obs.latency.ObserveSince(start) }()
@@ -203,11 +182,7 @@ func (p *Planner) Plan(req PlanRequest, costs *model.SiteCosts) (*model.AccessPl
 		p.stats.Random++
 		p.mu.Unlock()
 		p.obs.random.Inc()
-		plan, err := RandomPlan(req, rng)
-		if err != nil {
-			return nil, SourceRandom, err
-		}
-		return plan, SourceRandom, nil
+		return RandomPlan(req, rng)
 	}
 
 	key := cacheKey(req)
@@ -220,81 +195,45 @@ func (p *Planner) Plan(req PlanRequest, costs *model.SiteCosts) (*model.AccessPl
 			out := plan.Clone()
 			p.mu.Unlock()
 			p.obs.hits.Inc()
-			return out, SourceCache, nil
+			return out, nil
 		}
 		p.evictLocked(key)
 	}
 	p.stats.Misses++
-	rng := rand.New(rand.NewSource(p.rng.Int63()))
+	seed := p.rng.Int63()
+	solve := p.exactLeft != 0
+	if p.exactLeft > 0 {
+		p.exactLeft--
+	}
 	p.mu.Unlock()
 	p.obs.misses.Inc()
 
-	greedy, err := GreedyPlan(req, costs, rng)
-	if err != nil {
-		return nil, SourceGreedy, err
+	rc := buildCandidates(req.Metas, req.Available)
+	if !rc.feasible() {
+		return nil, ErrInfeasible
 	}
-
-	if p.cfg.CacheGreedyOnMiss {
-		p.mu.Lock()
-		p.installLocked(key, greedy.Clone())
-		p.mu.Unlock()
+	var plan *model.AccessPlan
+	if solve {
+		if mask, _, blocks, err := bestSiteMask(rc, costs, req.Delta); err == nil {
+			plan = subsetPlan(rc, mask, blocks)
+		}
 	}
-
-	switch {
-	case p.cfg.ManualExact:
-		p.mu.Lock()
-		if !p.pending[key] && len(p.queue) < 4*p.cfg.CacheSize {
-			p.pending[key] = true
-			p.queue = append(p.queue, pendingSolve{req: req, costs: costs, key: key})
-		}
-		p.mu.Unlock()
-	case p.cfg.InlineExact:
-		p.solveAndInstall(req, costs, key)
-	default:
-		p.mu.Lock()
-		if !p.pending[key] && !p.closed {
-			p.pending[key] = true
-			p.wg.Add(1)
-			go func() {
-				defer p.wg.Done()
-				p.solveAndInstall(req, costs, key)
-				p.mu.Lock()
-				delete(p.pending, key)
-				p.mu.Unlock()
-			}()
-		}
-		p.mu.Unlock()
+	exact := plan != nil
+	if !exact {
+		plan = greedyPlan(rc, costs, req.Delta, rand.New(rand.NewSource(seed)))
 	}
 
 	p.mu.Lock()
-	p.stats.Greedy++
-	p.mu.Unlock()
-	p.obs.greedy.Inc()
-	return greedy, SourceGreedy, nil
-}
-
-// UpgradePending drains up to max queued exact solves (manual mode),
-// modelling the background worker's finite throughput. It returns how many
-// solves were performed.
-func (p *Planner) UpgradePending(max int) int {
-	done := 0
-	for done < max {
-		p.mu.Lock()
-		if len(p.queue) == 0 {
-			p.mu.Unlock()
-			return done
-		}
-		job := p.queue[0]
-		p.queue = p.queue[1:]
-		p.mu.Unlock()
-
-		p.solveAndInstall(job.req, job.costs, job.key)
-		p.mu.Lock()
-		delete(p.pending, job.key)
-		p.mu.Unlock()
-		done++
+	if exact {
+		p.stats.Exact++
+		p.obs.exact.Inc()
+	} else {
+		p.stats.Greedy++
+		p.obs.greedy.Inc()
 	}
-	return done
+	p.installLocked(key, plan.Clone())
+	p.mu.Unlock()
+	return plan, nil
 }
 
 // CacheLen returns the number of cached plans.
@@ -322,23 +261,6 @@ func (p *Planner) MemoryFootprint() int {
 		bytes += plan.ChunkCount() * perChunkEntry
 	}
 	return bytes
-}
-
-// solveAndInstall computes the exact plan and installs it in the cache.
-// Only proven-optimal plans are installed, so an installed plan never
-// costs more than greedy's; when the solve fails or stops at its search
-// limits, whatever the cache held (the greedy plan, with
-// CacheGreedyOnMiss) stays.
-func (p *Planner) solveAndInstall(req PlanRequest, costs *model.SiteCosts, key string) {
-	exact, err := ExactPlan(req, costs)
-	if err != nil {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.stats.Exact++
-	p.obs.exact.Inc()
-	p.installLocked(key, exact)
 }
 
 func (p *Planner) installLocked(key string, plan *model.AccessPlan) {

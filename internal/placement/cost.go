@@ -1,7 +1,7 @@
 // Package placement implements EC-Store's primary contribution: the
 // cost-model-driven data access strategy (Section IV-B, Equations 1-4), the
-// plan cache with greedy fallback and background exact solves (Section
-// V-B1), late binding integration (Section IV-B1), and the chunk movement
+// plan cache whose misses are solved exactly, with a greedy fallback past
+// the exact search's limits (Section V-B1), late binding integration (Section IV-B1), and the chunk movement
 // strategy (Sections IV-C and IV-D, Equations 5-8 and Algorithm 1).
 package placement
 
@@ -187,7 +187,7 @@ const (
 )
 
 // errNotExact reports that the exact search stopped at one of its limits
-// before proving an optimum; the planner then keeps its greedy plan.
+// before proving an optimum; the planner then serves the greedy plan.
 var errNotExact = errors.New("placement: exact search limit reached")
 
 // subsetBlock is one block of a request flattened for the site-subset

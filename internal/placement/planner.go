@@ -32,33 +32,6 @@ func (s Strategy) String() string {
 	}
 }
 
-// PlanSource reports how a returned plan was produced, for instrumentation
-// (the paper reports a ~90% plan-cache hit rate).
-type PlanSource int
-
-// Plan provenance.
-const (
-	SourceRandom PlanSource = iota + 1
-	SourceGreedy
-	SourceCache
-	SourceExact
-)
-
-func (s PlanSource) String() string {
-	switch s {
-	case SourceRandom:
-		return "random"
-	case SourceGreedy:
-		return "greedy"
-	case SourceCache:
-		return "cache"
-	case SourceExact:
-		return "exact"
-	default:
-		return fmt.Sprintf("PlanSource(%d)", int(s))
-	}
-}
-
 // PlanRequest describes one multi-block read to plan.
 type PlanRequest struct {
 	// Metas holds the metadata of every requested block.

@@ -335,7 +335,7 @@ func TestExactPlanMatchesBruteForceProperty(t *testing.T) {
 // straggler-scan shape over 15-18 sites matches the brute force's 1,024
 // selections), and where it runs out of nodes (32 all-equal sites, where
 // countless site sets tie) ExactPlan reports errNotExact, ExactCost falls
-// back to greedy's cost, and a planner keeps its greedy plan cached.
+// back to greedy's cost, and a planner serves and caches its greedy plan.
 func TestExactPlanLargeRequest(t *testing.T) {
 	// Five round-robin blocks cover every site.
 	for numSites := 15; numSites <= 18; numSites++ {
@@ -372,21 +372,25 @@ func TestExactPlanLargeRequest(t *testing.T) {
 	if want := PlanCost(greedy, req.Metas, costs); exact || cost != want {
 		t.Fatalf("ExactCost = %v, %v; want greedy's %v, false", cost, exact, want)
 	}
-	p := NewPlanner(PlannerConfig{Strategy: StrategyCost, Delta: 1, InlineExact: true, CacheGreedyOnMiss: true, Seed: 1})
-	defer p.Close()
-	first, src, err := p.Plan(req, costs)
-	if err != nil || src != SourceGreedy {
-		t.Fatalf("first plan: %v, %v", src, err)
+	// The planner serves the miss greedily and caches that plan, so the
+	// repeat is a hit and runs no second search.
+	p := NewPlanner(PlannerConfig{Strategy: StrategyCost, Delta: 1, Seed: 1})
+	first, err := p.Plan(req, costs)
+	if err != nil {
+		t.Fatal(err)
 	}
-	cached, src, err := p.Plan(req, costs)
-	if err != nil || src != SourceCache {
-		t.Fatalf("second plan: %v, %v", src, err)
+	if st := p.Stats(); st.Greedy != 1 || st.Exact != 0 {
+		t.Fatalf("first plan: stats = %+v, want one greedy miss", st)
+	}
+	cached, err := p.Plan(req, costs)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if !slices.Equal(cached.SortedSites(), first.SortedSites()) || cached.ChunkCount() != first.ChunkCount() {
 		t.Fatalf("cached plan %v differs from the greedy plan %v", cached.Reads, first.Reads)
 	}
-	if st := p.Stats(); st.Exact != 0 {
-		t.Fatalf("stats = %+v, want no exact install", st)
+	if st := p.Stats(); st.Hits != 1 || st.Misses != 1 || st.Greedy != 1 || st.Exact != 0 {
+		t.Fatalf("stats = %+v, want one greedy miss then one hit", st)
 	}
 }
 
@@ -408,9 +412,9 @@ func scanRequest(nBlocks, numSites int) (PlanRequest, *model.SiteCosts) {
 	return PlanRequest{Metas: metas, Delta: 1}, costs
 }
 
-// TestExactPlanAllocs guards the background solve's allocations on the
+// TestExactPlanAllocs guards the exact solve's allocations on the
 // straggler-scan shape (8 blocks over 6 sites), where every plan-cache
-// miss starts one solve that competes with requests for the cores.
+// miss runs one solve on the request's own goroutine.
 func TestExactPlanAllocs(t *testing.T) {
 	req, costs := scanRequest(8, 6)
 	allocs := testing.AllocsPerRun(20, func() {
@@ -510,10 +514,6 @@ func TestValidatePlanCatchesBadPlans(t *testing.T) {
 func TestStrategyStrings(t *testing.T) {
 	if StrategyRandom.String() != "random" || StrategyCost.String() != "cost" {
 		t.Fatal("Strategy.String mismatch")
-	}
-	if SourceCache.String() != "cache" || SourceGreedy.String() != "greedy" ||
-		SourceExact.String() != "exact" || SourceRandom.String() != "random" {
-		t.Fatal("PlanSource.String mismatch")
 	}
 }
 

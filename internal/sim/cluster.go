@@ -76,12 +76,9 @@ type Params struct {
 	// MoverW2 is the movement load-balance weight relative to avg(o_j)
 	// (the paper's w2=3 at avg(o_j)=5, i.e. 0.6); zero means 0.6.
 	MoverW2 float64
-	// MoverBatch is how many movement plans execute per mover tick; the
-	// compressed timescale scales the paper's <1 chunk/s throttle.
-	// Zero means 4.
-	MoverBatch int
-	// ExactSolvesPerInterval bounds background exact solves per stats
-	// interval, modelling the background worker's finite throughput.
+	// ExactSolvesPerInterval bounds how many plan-cache misses per stats
+	// interval are solved exactly (the rest are served greedily),
+	// modelling the paper's background solver's finite throughput.
 	ExactSolvesPerInterval int
 	// CoAccessSampleEvery records every Nth request into the co-access
 	// tracker (the statistics service samples requests, Section V-A);
@@ -163,10 +160,6 @@ type Options struct {
 	// scheduler's byte throttle — the ab-scrub ablation sweeps it. Zero
 	// disables scrub load.
 	ScrubBytesPerSec float64
-	// CatalogPartitions shards the metadata catalog into this many
-	// independently locked partitions (metadata.DefaultPartitions when
-	// zero).
-	CatalogPartitions int
 }
 
 func (o Options) withDefaults() Options {
@@ -308,19 +301,14 @@ func New(p Params, opt Options) (*Cluster, error) {
 			c.zoneInfos[id] = model.SiteInfo{ID: id, Zone: c.zoneOf(id)}
 		}
 	}
-	parts := opt.CatalogPartitions
-	if parts <= 0 {
-		parts = metadata.DefaultPartitions
-	}
-	c.catalog = metadata.NewCatalogParts(c.siteIDs, parts)
+	c.catalog = metadata.NewCatalog(c.siteIDs)
 	c.planner = placement.NewPlanner(placement.PlannerConfig{
-		Strategy:          opt.Strategy,
-		Delta:             opt.Delta,
-		ManualExact:       true,
-		CacheGreedyOnMiss: true,
-		CacheSize:         1 << 15,
-		Seed:              p.Seed + 2,
+		Strategy:  opt.Strategy,
+		Delta:     opt.Delta,
+		CacheSize: 1 << 15,
+		Seed:      p.Seed + 2,
 	})
+	c.planner.LimitExact(p.ExactSolvesPerInterval)
 	if opt.Mover {
 		// Paper calibration: w2 = 3 when avg(o_j) = 5, i.e. w2 =
 		// 0.6*avg(o_j); adaptive scaling tracks o_j in seconds.
@@ -559,7 +547,7 @@ type phaseAware interface {
 }
 
 // scheduleStats runs the statistics service (load reports, request rate,
-// background exact-solve budget) and the faster probe loop feeding o_j.
+// the planner's exact-solve budget) and the faster probe loop feeding o_j.
 func (c *Cluster) scheduleStats() {
 	var tick func()
 	tick = func() {
@@ -578,7 +566,7 @@ func (c *Cluster) scheduleStats() {
 		}
 		c.reqInWindow = 0
 		c.lastWindow = now
-		c.planner.UpgradePending(c.p.ExactSolvesPerInterval)
+		c.planner.LimitExact(c.p.ExactSolvesPerInterval)
 		c.eng.After(c.p.StatsInterval, tick)
 	}
 	c.eng.After(c.p.StatsInterval, tick)
@@ -646,15 +634,15 @@ func (c *Cluster) scheduleDegradedPhases() {
 	}
 }
 
+// moverBatch is how many movement plans execute per mover tick: the
+// compressed timescale scales the paper's <1 chunk/s throttle.
+const moverBatch = 4
+
 // scheduleMover runs the chunk mover at its throttled cadence.
 func (c *Cluster) scheduleMover() {
-	batch := c.p.MoverBatch
-	if batch <= 0 {
-		batch = 4
-	}
 	var tick func()
 	tick = func() {
-		for i := 0; i < batch; i++ {
+		for i := 0; i < moverBatch; i++ {
 			c.moveOnce()
 		}
 		c.eng.After(c.p.MoverInterval, tick)
@@ -778,7 +766,7 @@ func (c *Cluster) startRequest(rng *rand.Rand, ids []model.BlockID, done func(ok
 		}
 		// Access planning (R2): real strategy code, constant modelled
 		// latency.
-		plan, _, err := c.planner.Plan(placement.PlanRequest{Metas: metas, Available: c.available}, c.costs())
+		plan, err := c.planner.Plan(placement.PlanRequest{Metas: metas, Available: c.available}, c.costs())
 		if err != nil {
 			// Infeasible under failures.
 			done(false)

@@ -105,14 +105,26 @@ func TestSimMoverMovesChunks(t *testing.T) {
 	}
 }
 
+// TestSimCostStrategyUsesCache: the plan cache hits, and the planner's
+// exact-solve budget (ExactSolvesPerInterval, granted at start-up and at
+// every stats tick) caps the exact solves while greedy serves the rest of
+// the misses.
 func TestSimCostStrategyUsesCache(t *testing.T) {
-	res := runTiny(t, tinyParams(6), Options{Strategy: placement.StrategyCost}, 200, 1, 0, 3)
+	p := tinyParams(6)
+	res := runTiny(t, p, Options{Strategy: placement.StrategyCost}, 200, 1, 0, 3)
 	st := res.Planner
 	if st.Hits == 0 {
 		t.Fatal("plan cache never hit")
 	}
 	if st.Exact == 0 {
-		t.Fatal("background exact solver never ran")
+		t.Fatal("no miss was solved exactly")
+	}
+	// 4 simulated seconds: the grant at start-up plus one per tick.
+	if grants := int64(1 + 4/p.StatsInterval); st.Exact > grants*int64(p.ExactSolvesPerInterval) || st.Greedy == 0 {
+		t.Fatalf("stats = %+v, want at most %d exact solves and some greedy ones", st, grants*int64(p.ExactSolvesPerInterval))
+	}
+	if st.Exact+st.Greedy != st.Misses {
+		t.Fatalf("stats = %+v: exact + greedy != misses", st)
 	}
 }
 

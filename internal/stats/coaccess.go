@@ -33,8 +33,8 @@ type CoAccessTracker struct {
 	next     int               // ring index of the next slot to overwrite
 	filled   bool
 
-	total  int                              // requests currently in window
-	counts map[model.BlockID]int            // # window requests containing b
+	total  int                                     // requests currently in window
+	counts map[model.BlockID]int                   // # window requests containing b
 	pairs  map[model.BlockID]map[model.BlockID]int // # window requests containing both
 	// recent holds the most recently seen blocks in LRU order for
 	// candidate generation (recently accessed blocks are likely to be

@@ -1,5 +1,6 @@
 #!/bin/sh
-# Pre-commit gate: vet and build everything, run the project lint suite
+# Pre-commit gate: vet everything, fail on any file gofmt would change,
+# build everything, run the project lint suite
 # (internal/lint: context, locking, goroutine-leak, determinism, error
 # wrapping, metric naming, lock-order and pool-balance rules), run the
 # quick test suite under the race detector (the buffer-owning packages
@@ -21,6 +22,8 @@
 set -eux
 cd "$(dirname "$0")/.."
 go vet ./...
+unformatted=$(gofmt -l .)
+[ -z "$unformatted" ] || { echo "gofmt: $unformatted"; exit 1; }
 go build ./...
 go run ./cmd/ecstore-lint ./...
 go test -race -short ./...
