@@ -104,7 +104,7 @@ func run(args []string) error {
 		siteClients[model.SiteID(i+1)] = sc
 	}
 
-	// A local registry collects client-side instrumentation (plan cache,
+	// A local registry collects client-side instrumentation (planner,
 	// block cache, request phases) so `stats -full` can dump it.
 	reg := obs.NewRegistry()
 	client, err := core.NewClient(core.Config{
@@ -245,8 +245,7 @@ func run(args []string) error {
 			fmt.Printf("  site %d: %s\n", id, status)
 		}
 		st := client.PlannerStats()
-		fmt.Printf("plan cache: %d hits, %d misses (%.0f%% hit rate)\n",
-			st.Hits, st.Misses, 100*st.HitRate())
+		fmt.Printf("planner: %d exact, %d greedy, %d random\n", st.Exact, st.Greedy, st.Random)
 		if cs := client.CacheStats(); cs.MaxBytes > 0 {
 			fmt.Printf("block cache: %d entries, %d/%d bytes\n",
 				cs.Entries, cs.Bytes, cs.MaxBytes)
@@ -285,8 +284,8 @@ func parseRange(s string) (off, n int64, err error) {
 }
 
 // clusterStats snapshots every reachable service's metrics over the
-// GetMetrics RPC and renders a cluster-wide summary. The plan-cache and
-// block-cache lines are the local client's (both caches are per client
+// GetMetrics RPC and renders a cluster-wide summary. The planner and
+// block-cache lines are the local client's (both are per client
 // process).
 func clusterStats(w io.Writer, client *core.Client, reg *obs.Registry, meta *metadata.Client,
 	siteClients map[model.SiteID]*storage.Client, tcp *transport.TCP, controlAddr string, full bool) error {
@@ -363,8 +362,7 @@ func clusterStats(w io.Writer, client *core.Client, reg *obs.Registry, meta *met
 
 	st := client.PlannerStats()
 	fmt.Fprintln(w, "== local client ==")
-	fmt.Fprintf(w, "plan cache: %d hits, %d misses (%.0f%% hit rate), %d greedy, %d exact\n",
-		st.Hits, st.Misses, 100*st.HitRate(), st.Greedy, st.Exact)
+	fmt.Fprintf(w, "planner: %d exact, %d greedy, %d random\n", st.Exact, st.Greedy, st.Random)
 	cs := client.CacheStats()
 	if cs.MaxBytes > 0 {
 		fmt.Fprintf(w, "block cache: %d hits, %d misses (%.0f%% hit rate), %d entries, %d/%d bytes, %d evictions, %d stale serves\n",

@@ -129,7 +129,7 @@ func TestCLIStatsSubcommand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"== sites ==", "writes=", "== metadata ==", "registers=1", "plan cache:"} {
+	for _, want := range []string{"== sites ==", "writes=", "== metadata ==", "registers=1", "planner:"} {
 		if !strings.Contains(string(out), want) {
 			t.Errorf("stats output missing %q:\n%s", want, out)
 		}

@@ -1,5 +1,5 @@
 // Command ecstore-gateway runs the multi-tenant access daemon: one
-// pooled EC-Store client (plan cache, block cache, breakers, hedging)
+// pooled EC-Store client (planner, block cache, breakers, hedging)
 // multiplexed across tenants behind per-tenant token-bucket rate limits,
 // byte quotas and bounded-queue admission control (DESIGN.md §15).
 //

@@ -5,11 +5,11 @@
 // A Cluster stores blocks as RS(k, r) erasure-coded chunks (or replicated
 // copies, for comparison) across storage sites. Reads are planned by a
 // cost model that selects which chunks to fetch from which sites to
-// minimize expected retrieval time (the paper's Equations 1-4), with an
-// access-plan cache, a greedy fallback, and optional late binding. A
-// background chunk mover co-locates co-accessed blocks and balances load
-// (Equations 5-8, Algorithm 1), and a repair service reconstructs chunks
-// lost to site failures.
+// minimize expected retrieval time (the paper's Equations 1-4), solved
+// exactly for every read from the current costs, with a greedy fallback
+// and optional late binding. A background chunk mover co-locates
+// co-accessed blocks and balances load (Equations 5-8, Algorithm 1), and a
+// repair service reconstructs chunks lost to site failures.
 //
 // Quick start:
 //
@@ -141,9 +141,6 @@ type Cluster struct {
 
 // Stats summarizes a cluster's dynamic behaviour.
 type Stats struct {
-	// PlanCacheHitRate is the access-plan cache hit rate (the paper
-	// reports ~90% under YCSB).
-	PlanCacheHitRate float64
 	// ChunksMoved counts successful background chunk movements.
 	ChunksMoved int64
 	// ChunksRepaired counts chunks reconstructed after failures.
@@ -278,9 +275,8 @@ func (c *Cluster) RecoverSite(id SiteID) error {
 // Stats returns a snapshot of the cluster's dynamic behaviour.
 func (c *Cluster) Stats() Stats {
 	s := Stats{
-		PlanCacheHitRate: c.inner.Client.PlannerStats().HitRate(),
-		StoredBytes:      c.inner.TotalStoredBytes(),
-		StorageOverhead:  c.inner.Client.StorageOverhead(),
+		StoredBytes:     c.inner.TotalStoredBytes(),
+		StorageOverhead: c.inner.Client.StorageOverhead(),
 	}
 	if c.inner.Mover != nil {
 		moved, _ := c.inner.Mover.Moves()

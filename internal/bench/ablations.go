@@ -152,9 +152,8 @@ func AblationScrub(sc Scale) (*Report, map[float64]float64, error) {
 }
 
 // AblationPlanQuality compares greedy-only planning (an exact-solve budget
-// of 0) against planning that solves up to the default budget of cache
-// misses per stats interval exactly, isolating the exact solver's
-// contribution.
+// of 0) against planning that solves up to the default budget of requests
+// per stats interval exactly, isolating the exact solver's contribution.
 func AblationPlanQuality(sc Scale) (*Report, map[string]float64, error) {
 	out := make(map[string]float64)
 	var b strings.Builder
@@ -182,7 +181,7 @@ func AblationPlanQuality(sc Scale) (*Report, map[string]float64, error) {
 		out[mode.name] = res.Mean.Total()
 		fmt.Fprintf(&b, "%-14s %10.2fms %8.1f\n", mode.name, res.Mean.Total()*1000, res.VisitsPerRequest)
 	}
-	rep := &Report{ID: "ab-plan", Title: "Greedy vs exact planning of cache misses (EC+C, YCSB-E 100 KB)", Body: b.String(), Data: out}
+	rep := &Report{ID: "ab-plan", Title: "Greedy vs exact planning (EC+C, YCSB-E 100 KB)", Body: b.String(), Data: out}
 	return rep, out, nil
 }
 

@@ -184,8 +184,8 @@ func (c Config) withDefaults() Config {
 const probeTimeout = 2 * time.Second
 
 // Client is the EC-Store client service: the component applications link
-// against. It owns the erasure codec, the access planner (plan cache +
-// greedy and exact solvers) and one connection per storage site, and implements
+// against. It owns the erasure codec, the access planner (exact solver with
+// a greedy fallback) and one connection per storage site, and implements
 // the paper's read path R1-R3 (GetMulti) and write path W1-W3 (Put).
 type Client struct {
 	cfg    Config
@@ -336,7 +336,7 @@ type Deps struct {
 	// Nil disables the coupling.
 	Pressure *health.Pressure
 	// Metrics optionally exports client instrumentation (request counts,
-	// per-phase latency histograms, late-binding waste, plan-cache
+	// per-phase latency histograms, late-binding waste, planner
 	// counters) into a shared registry. Nil disables it at zero cost.
 	Metrics *obs.Registry
 	// Tracer optionally records a per-request span tree for each
@@ -432,7 +432,7 @@ func (c *Client) Close() {
 // Codec exposes the erasure codec (nil under replication).
 func (c *Client) Codec() *erasure.Codec { return c.codec }
 
-// PlannerStats returns plan-cache statistics.
+// PlannerStats returns the planner's provenance counters.
 func (c *Client) PlannerStats() placement.PlannerStats { return c.plan.Stats() }
 
 // CacheStats returns decoded-block cache statistics (zero when the

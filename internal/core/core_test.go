@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"testing"
 	"time"
 
@@ -365,28 +364,47 @@ func TestClusterStartStop(t *testing.T) {
 	c.Close()
 }
 
-func TestPlanCacheHitRateUnderRepeatedAccess(t *testing.T) {
-	c := newTestCluster(t, ClusterConfig{NumSites: 8})
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 20; i++ {
-		id := model.BlockID(fmt.Sprintf("b%d", i))
-		if err := c.Client.Put(id, blockData(128, byte(i))); err != nil {
+// TestGetMultiPlansFromCurrentCosts: every read is planned from the o_j
+// of the moment, so once a site the first GetMulti read turns slow, an
+// identical second GetMulti reads no chunk from it.
+func TestGetMultiPlansFromCurrentCosts(t *testing.T) {
+	c := newTestCluster(t, ClusterConfig{NumSites: 6})
+	ids := []model.BlockID{"a", "b"}
+	for i, id := range ids {
+		if err := c.Client.Put(id, blockData(4096, byte(i+1))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Repeatedly read a small set of request shapes.
-	shapes := [][]model.BlockID{
-		{"b0", "b1"}, {"b2", "b3"}, {"b4", "b5", "b6"},
+	reads := func() map[model.SiteID]int64 {
+		out := make(map[model.SiteID]int64, len(c.Services))
+		for id, svc := range c.Services {
+			out[id], _ = svc.Totals()
+		}
+		return out
 	}
-	for i := 0; i < 60; i++ {
-		q := shapes[rng.Intn(len(shapes))]
-		if _, _, err := c.Client.GetMulti(q); err != nil {
-			t.Fatal(err)
+
+	before := reads()
+	if _, _, err := c.Client.GetMulti(ids); err != nil {
+		t.Fatal(err)
+	}
+	first := reads()
+	slow := model.NoSite
+	for _, id := range model.SortedSites(c.Services) {
+		if first[id] > before[id] {
+			slow = id
+			break
 		}
 	}
-	st := c.Client.PlannerStats()
-	if st.HitRate() < 0.8 {
-		t.Fatalf("plan cache hit rate = %.2f, want >= 0.8 (paper reports ~0.9)", st.HitRate())
+	if slow == model.NoSite {
+		t.Fatal("the first GetMulti read no site")
+	}
+
+	c.Probes.Observe(slow, 1e6)
+	if _, _, err := c.Client.GetMulti(ids); err != nil {
+		t.Fatal(err)
+	}
+	if n := reads()[slow] - first[slow]; n != 0 {
+		t.Fatalf("after site %d's o_j rose to 1e6 the second GetMulti still read %d chunks from it", slow, n)
 	}
 }
 

@@ -173,8 +173,8 @@ func TestDistributedMultiBlockWorkload(t *testing.T) {
 			t.Fatalf("round %d: %d blocks", round, len(got))
 		}
 	}
-	// The plan cache should be warming over RPC too.
-	if st := d.client.PlannerStats(); st.Hits == 0 {
-		t.Error("no plan cache hits in repeated workload")
+	// Every read over RPC is planned exactly.
+	if st := d.client.PlannerStats(); st.Exact != 6 || st.Greedy != 0 {
+		t.Errorf("planner stats = %+v, want 6 exact plans", st)
 	}
 }

@@ -11,9 +11,8 @@ import (
 
 // TestClusterObservabilityEndToEnd drives a real cluster through Put and
 // two Gets and checks that the shared registry saw the whole read path:
-// nonzero fetch/decode span counts, per-site storage counters, and the
-// plan cache going miss-then-hit (the miss installs its plan before it
-// returns, so the second Get must hit).
+// nonzero fetch/decode span counts, per-site storage counters, and one
+// exact plan per Get.
 func TestClusterObservabilityEndToEnd(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := newTestCluster(t, ClusterConfig{Metrics: reg})
@@ -32,19 +31,16 @@ func TestClusterObservabilityEndToEnd(t *testing.T) {
 	}
 
 	snap := reg.Snapshot()
-	if h := snap.CounterValue("plan_cache_misses_total", ""); h != 1 {
-		t.Fatalf("after first Get: misses = %d, want 1", h)
-	}
-	if h := snap.CounterValue("plan_cache_hits_total", ""); h != 0 {
-		t.Fatalf("after first Get: hits = %d, want 0", h)
+	if n := snap.CounterValue("plan_exact_total", ""); n != 1 {
+		t.Fatalf("after first Get: plan_exact_total = %d, want 1", n)
 	}
 
 	if _, err := c.Client.Get("blk"); err != nil {
 		t.Fatal(err)
 	}
 	snap = reg.Snapshot()
-	if h := snap.CounterValue("plan_cache_hits_total", ""); h != 1 {
-		t.Fatalf("after second Get: hits = %d, want 1", h)
+	if n := snap.CounterValue("plan_exact_total", ""); n != 2 {
+		t.Fatalf("after second Get: plan_exact_total = %d, want 2", n)
 	}
 
 	// Both reads fetched k chunks from real sites.

@@ -1,15 +1,17 @@
 // Package placement implements EC-Store's primary contribution: the
-// cost-model-driven data access strategy (Section IV-B, Equations 1-4), the
-// plan cache whose misses are solved exactly, with a greedy fallback past
-// the exact search's limits (Section V-B1), late binding integration (Section IV-B1), and the chunk movement
-// strategy (Sections IV-C and IV-D, Equations 5-8 and Algorithm 1).
+// cost-model-driven data access strategy (Section IV-B, Equations 1-4),
+// solved exactly for every request, with a greedy fallback past the exact
+// search's limits (Section V-B1; the paper's plan cache is not reproduced,
+// see DESIGN.md §2), late binding integration (Section IV-B1), and the
+// chunk movement strategy (Sections IV-C and IV-D, Equations 5-8 and
+// Algorithm 1).
 package placement
 
 import (
 	"errors"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"ecstore/internal/model"
 )
@@ -96,64 +98,61 @@ type candidate struct {
 }
 
 // requestCandidates lists, per block, the chunks that exist on available
-// sites. Blocks are returned in sorted id order for determinism.
+// sites. Blocks are in sorted id order for determinism; cands[i] holds
+// blocks[i]'s candidates in chunk-index order.
 type requestCandidates struct {
 	blocks []model.BlockID
 	metas  map[model.BlockID]*model.BlockMeta
-	cands  map[model.BlockID][]candidate
+	cands  [][]candidate
 	sites  []model.SiteID // union of candidate sites, sorted
 }
 
-func buildCandidates(metas map[model.BlockID]*model.BlockMeta, available func(model.SiteID) bool) *requestCandidates {
-	rc := &requestCandidates{
-		metas: metas,
-		cands: make(map[model.BlockID][]candidate, len(metas)),
+func buildCandidates(metas map[model.BlockID]*model.BlockMeta, available func(model.SiteID) bool) requestCandidates {
+	rc := requestCandidates{
+		blocks: make([]model.BlockID, 0, len(metas)),
+		metas:  metas,
+		cands:  make([][]candidate, len(metas)),
 	}
-	siteSet := make(map[model.SiteID]bool)
-	for id := range metas {
+	total := 0
+	for id, meta := range metas {
 		rc.blocks = append(rc.blocks, id)
+		total += len(meta.Sites)
 	}
-	sort.Slice(rc.blocks, func(i, j int) bool { return rc.blocks[i] < rc.blocks[j] })
-	for _, id := range rc.blocks {
-		meta := metas[id]
-		for chunk, site := range meta.Sites {
+	slices.Sort(rc.blocks)
+	// One backing array holds every block's candidates, and the sites
+	// are collected with duplicates, then sorted and compacted.
+	all := make([]candidate, 0, total)
+	rc.sites = make([]model.SiteID, 0, total)
+	for bi, id := range rc.blocks {
+		start := len(all)
+		for chunk, site := range metas[id].Sites {
 			if site == model.NoSite {
 				continue
 			}
 			if available != nil && !available(site) {
 				continue
 			}
-			rc.cands[id] = append(rc.cands[id], candidate{
-				ref:  model.ChunkRef{Block: id, Chunk: chunk},
-				site: site,
-			})
-			siteSet[site] = true
+			all = append(all, candidate{ref: model.ChunkRef{Block: id, Chunk: chunk}, site: site})
+			rc.sites = append(rc.sites, site)
 		}
+		rc.cands[bi] = all[start:len(all):len(all)]
 	}
-	rc.sites = make([]model.SiteID, 0, len(siteSet))
-	for s := range siteSet {
-		rc.sites = append(rc.sites, s)
-	}
-	sort.Slice(rc.sites, func(i, j int) bool { return rc.sites[i] < rc.sites[j] })
+	slices.Sort(rc.sites)
+	rc.sites = slices.Compact(rc.sites)
 	return rc
 }
 
-// need returns the chunk count to fetch for a block: k+delta capped at the
-// number of available candidates.
-func (rc *requestCandidates) need(id model.BlockID, delta int) int {
-	meta := rc.metas[id]
-	need := meta.RequiredChunks() + delta
-	if n := len(rc.cands[id]); need > n {
-		need = n
-	}
-	return need
+// need returns the chunk count to fetch for block bi: k+delta capped at
+// the number of available candidates.
+func (rc requestCandidates) need(bi, delta int) int {
+	return min(rc.metas[rc.blocks[bi]].RequiredChunks()+delta, len(rc.cands[bi]))
 }
 
 // feasible reports whether every block can still be reconstructed (at least
 // RequiredChunks candidates remain available).
-func (rc *requestCandidates) feasible() bool {
-	for _, id := range rc.blocks {
-		if len(rc.cands[id]) < rc.metas[id].RequiredChunks() {
+func (rc requestCandidates) feasible() bool {
+	for bi, id := range rc.blocks {
+		if len(rc.cands[bi]) < rc.metas[id].RequiredChunks() {
 			return false
 		}
 	}
@@ -217,30 +216,29 @@ type subsetCand struct {
 // sets the numerically lowest mask wins. It returns that mask, its cost,
 // and the flattened blocks (in rc.blocks order) the mask selects from, or
 // errNotExact past the search limits.
-func bestSiteMask(rc *requestCandidates, costs *model.SiteCosts, delta int) (uint64, float64, []subsetBlock, error) {
+func bestSiteMask(rc requestCandidates, costs *model.SiteCosts, delta int) (uint64, float64, []subsetBlock, error) {
 	n := len(rc.sites)
 	if n > maxSearchSites {
 		return 0, 0, nil, errNotExact
 	}
-	oCost := make([]float64, n)
-	siteIdx := make(map[model.SiteID]int, n)
+	// oCost[i] is site i's o_j, perSite[i] its candidate count.
+	buf := make([]float64, 2*n)
+	oCost, perSite := buf[:n:n], buf[n:]
 	for i, s := range rc.sites {
 		oCost[i] = costs.OCost(s)
-		siteIdx[s] = i
 	}
 	total := 0
-	for _, id := range rc.blocks {
-		total += len(rc.cands[id])
+	for _, cands := range rc.cands {
+		total += len(cands)
 	}
 	all := make([]subsetCand, 0, total)
-	perSite := make([]int, n)
 	blocks := make([]subsetBlock, len(rc.blocks))
 	maxNeed := 0
 	for bi, id := range rc.blocks {
 		start := len(all)
 		size := float64(rc.metas[id].ChunkSize)
-		for _, c := range rc.cands[id] {
-			i := siteIdx[c.site]
+		for _, c := range rc.cands[bi] {
+			i, _ := slices.BinarySearch(rc.sites, c.site)
 			all = append(all, subsetCand{site: i, cost: costs.MCost(c.site) * size, ref: c.ref})
 			perSite[i]++
 		}
@@ -252,12 +250,12 @@ func bestSiteMask(rc *requestCandidates, costs *model.SiteCosts, delta int) (uin
 				cands[j], cands[j-1] = cands[j-1], cands[j]
 			}
 		}
-		blocks[bi] = subsetBlock{need: rc.need(id, delta), cands: cands}
+		blocks[bi] = subsetBlock{need: rc.need(bi, delta), cands: cands}
 		maxNeed = max(maxNeed, blocks[bi].need)
 	}
 
 	for i := range all {
-		all[i].share = oCost[all[i].site] / float64(perSite[all[i].site])
+		all[i].share = oCost[all[i].site] / perSite[all[i].site]
 	}
 
 	s := siteSearch{oCost: oCost, blocks: blocks, top: make([]boundPick, 0, maxNeed), best: math.Inf(1)}
@@ -378,17 +376,36 @@ func (s *siteSearch) maskCost(mask uint64) float64 {
 }
 
 // subsetPlan turns bestSiteMask's answer into an access plan: each block
-// reads its need cheapest chunks within the mask.
-func subsetPlan(rc *requestCandidates, mask uint64, blocks []subsetBlock) *model.AccessPlan {
-	plan := model.NewAccessPlan()
-	for bi := range blocks {
-		b := &blocks[bi]
-		taken := 0
-		for ci := 0; ci < len(b.cands) && taken < b.need; ci++ {
-			if c := b.cands[ci]; mask&(1<<c.site) != 0 {
-				plan.Add(rc.sites[c.site], c.ref)
-				taken++
+// reads its need cheapest chunks within the mask. The sites' chunk lists
+// share one backing array, each capped at its own length.
+func subsetPlan(rc requestCandidates, mask uint64, blocks []subsetBlock) *model.AccessPlan {
+	var count, next [maxSearchSites]int
+	total := 0
+	pick := func(visit func(c *subsetCand)) {
+		for bi := range blocks {
+			b := &blocks[bi]
+			taken := 0
+			for ci := 0; ci < len(b.cands) && taken < b.need; ci++ {
+				if c := &b.cands[ci]; mask&(1<<c.site) != 0 {
+					visit(c)
+					taken++
+				}
 			}
+		}
+	}
+	pick(func(c *subsetCand) { count[c.site]++; total++ })
+	refs := make([]model.ChunkRef, total)
+	off := 0
+	for m := mask; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		next[i] = off
+		off += count[i]
+	}
+	pick(func(c *subsetCand) { refs[next[c.site]] = c.ref; next[c.site]++ })
+	plan := &model.AccessPlan{Reads: make(map[model.SiteID][]model.ChunkRef, bits.OnesCount64(mask))}
+	for m := mask; m != 0; m &= m - 1 {
+		if i := bits.TrailingZeros64(m); count[i] > 0 {
+			plan.Reads[rc.sites[i]] = refs[next[i]-count[i] : next[i] : next[i]]
 		}
 	}
 	return plan

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -226,7 +227,7 @@ func randomInstance(r *rand.Rand, numSites, numBlocks int) (map[model.BlockID]*m
 // candidates, prices each resulting plan with PlanCost, and returns the
 // cheapest; among plans of equal cost (within a relative 1e-9) it keeps
 // the one whose accessed-site set, as a bit set over rc.sites, is lowest.
-func bruteForcePlan(rc *requestCandidates, costs *model.SiteCosts, delta int) (*model.AccessPlan, float64) {
+func bruteForcePlan(rc requestCandidates, costs *model.SiteCosts, delta int) (*model.AccessPlan, float64) {
 	bit := make(map[model.SiteID]uint64, len(rc.sites))
 	for i, s := range rc.sites {
 		bit[s] = 1 << i
@@ -253,7 +254,7 @@ func bruteForcePlan(rc *requestCandidates, costs *model.SiteCosts, delta int) (*
 			}
 			return
 		}
-		cands := rc.cands[rc.blocks[bi]]
+		cands := rc.cands[bi]
 		var pick func(from, left int)
 		pick = func(from, left int) {
 			if left == 0 {
@@ -266,7 +267,7 @@ func bruteForcePlan(rc *requestCandidates, costs *model.SiteCosts, delta int) (*
 				chosen = chosen[:len(chosen)-1]
 			}
 		}
-		pick(0, rc.need(rc.blocks[bi], delta))
+		pick(0, rc.need(bi, delta))
 	}
 	block(0)
 	return best, bestCost
@@ -318,9 +319,9 @@ func TestExactPlanMatchesBruteForceProperty(t *testing.T) {
 			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
-		for _, id := range rc.blocks {
-			if got := plan.ChunksFor(id); got != rc.need(id, delta) {
-				t.Logf("seed %d: block %s reads %d chunks, want %d", seed, id, got, rc.need(id, delta))
+		for bi, id := range rc.blocks {
+			if got := plan.ChunksFor(id); got != rc.need(bi, delta) {
+				t.Logf("seed %d: block %s reads %d chunks, want %d", seed, id, got, rc.need(bi, delta))
 				return false
 			}
 		}
@@ -335,7 +336,7 @@ func TestExactPlanMatchesBruteForceProperty(t *testing.T) {
 // straggler-scan shape over 15-18 sites matches the brute force's 1,024
 // selections), and where it runs out of nodes (32 all-equal sites, where
 // countless site sets tie) ExactPlan reports errNotExact, ExactCost falls
-// back to greedy's cost, and a planner serves and caches its greedy plan.
+// back to greedy's cost, and a planner serves the greedy plan.
 func TestExactPlanLargeRequest(t *testing.T) {
 	// Five round-robin blocks cover every site.
 	for numSites := 15; numSites <= 18; numSites++ {
@@ -372,25 +373,20 @@ func TestExactPlanLargeRequest(t *testing.T) {
 	if want := PlanCost(greedy, req.Metas, costs); exact || cost != want {
 		t.Fatalf("ExactCost = %v, %v; want greedy's %v, false", cost, exact, want)
 	}
-	// The planner serves the miss greedily and caches that plan, so the
-	// repeat is a hit and runs no second search.
+	// The planner serves the request greedily, and a repeat runs the
+	// search again: nothing is kept between requests.
 	p := NewPlanner(PlannerConfig{Strategy: StrategyCost, Delta: 1, Seed: 1})
-	first, err := p.Plan(req, costs)
-	if err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		plan, err := p.Plan(req, costs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ValidatePlan(plan, req.Metas, 1); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if st := p.Stats(); st.Greedy != 1 || st.Exact != 0 {
-		t.Fatalf("first plan: stats = %+v, want one greedy miss", st)
-	}
-	cached, err := p.Plan(req, costs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(cached.SortedSites(), first.SortedSites()) || cached.ChunkCount() != first.ChunkCount() {
-		t.Fatalf("cached plan %v differs from the greedy plan %v", cached.Reads, first.Reads)
-	}
-	if st := p.Stats(); st.Hits != 1 || st.Misses != 1 || st.Greedy != 1 || st.Exact != 0 {
-		t.Fatalf("stats = %+v, want one greedy miss then one hit", st)
+	if st := p.Stats(); st.Greedy != 2 || st.Exact != 0 {
+		t.Fatalf("stats = %+v, want two greedy plans", st)
 	}
 }
 
@@ -413,8 +409,8 @@ func scanRequest(nBlocks, numSites int) (PlanRequest, *model.SiteCosts) {
 }
 
 // TestExactPlanAllocs guards the exact solve's allocations on the
-// straggler-scan shape (8 blocks over 6 sites), where every plan-cache
-// miss runs one solve on the request's own goroutine.
+// straggler-scan shape (8 blocks over 6 sites), where every read runs one
+// solve on the request's own goroutine.
 func TestExactPlanAllocs(t *testing.T) {
 	req, costs := scanRequest(8, 6)
 	allocs := testing.AllocsPerRun(20, func() {
@@ -424,6 +420,21 @@ func TestExactPlanAllocs(t *testing.T) {
 	})
 	if allocs >= 300 {
 		t.Fatalf("ExactPlan made %.0f allocs, want < 300", allocs)
+	}
+}
+
+// TestPlannerPlanAllocs guards a single-block Planner.Plan, the solve every
+// uncached Get runs: candidates, the exact search and the plan itself.
+func TestPlannerPlanAllocs(t *testing.T) {
+	p := NewPlanner(PlannerConfig{Strategy: StrategyCost, Delta: 1, Seed: 1})
+	req, costs := scanRequest(1, 6)
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := p.Plan(req, costs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 12 {
+		t.Fatalf("Planner.Plan made %.0f allocs for one block, want <= 12", allocs)
 	}
 }
 
@@ -541,5 +552,195 @@ func TestPlanRequestWithout(t *testing.T) {
 	same := req.Without(nil)
 	if len(same.Metas) != 3 {
 		t.Fatal("empty Without changed the request")
+	}
+}
+
+func twoBlockRequest() map[model.BlockID]*model.BlockMeta {
+	return map[model.BlockID]*model.BlockMeta{
+		"a": makeMeta("a", 2, 2, 100, 1, 2, 3, 4),
+		"b": makeMeta("b", 2, 2, 100, 3, 4, 5, 6),
+	}
+}
+
+// greedyTrapRequest is a request the greedy heuristic plans badly: block a
+// takes its two cheapest chunks (sites 1 and 2), so block b then opens two
+// more sites, where the optimum reads both blocks from three.
+func greedyTrapRequest() (map[model.BlockID]*model.BlockMeta, *model.SiteCosts) {
+	metas := map[model.BlockID]*model.BlockMeta{
+		"a": makeMeta("a", 2, 1, 100, 1, 2, 3),
+		"b": makeMeta("b", 2, 1, 100, 3, 4, 5),
+	}
+	costs := &model.SiteCosts{
+		M:        map[model.SiteID]float64{1: 0.001, 2: 0.001},
+		DefaultO: 5, DefaultM: 0.002,
+	}
+	return metas, costs
+}
+
+// TestPlannerPlansFromCurrentCosts: every request is solved exactly under
+// the costs it is given, so the planner beats greedy on the trap, and the
+// same request planned again after one of its sites' o_j rises avoids that
+// site.
+func TestPlannerPlansFromCurrentCosts(t *testing.T) {
+	p := NewPlanner(PlannerConfig{Strategy: StrategyCost, Seed: 1})
+	metas, costs := greedyTrapRequest()
+	want, exact := ExactCost(metas, costs, nil, 0)
+	greedy, err := GreedyPlan(PlanRequest{Metas: metas}, costs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !exact || PlanCost(greedy, metas, costs) <= want {
+		t.Fatalf("greedy cost %v does not exceed the optimum %v (exact=%v)", PlanCost(greedy, metas, costs), want, exact)
+	}
+
+	first, err := p.Plan(PlanRequest{Metas: metas}, costs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ValidatePlan(first, metas, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := PlanCost(first, metas, costs); math.Abs(got-want) > 1e-9*want {
+		t.Fatalf("plan cost %v, want the exact optimum %v", got, want)
+	}
+
+	slow := first.SortedSites()[0]
+	costs.O = map[model.SiteID]float64{slow: 1e6}
+	second, err := p.Plan(PlanRequest{Metas: metas}, costs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, reads := second.Reads[slow]; reads {
+		t.Fatalf("after site %d's o_j rose to 1e6 the plan still reads it: %v", slow, second.Reads)
+	}
+	if st := p.Stats(); st.Exact != 2 || st.Greedy != 0 || st.Hits+st.Misses != 0 {
+		t.Fatalf("stats = %+v, want two exact solves", st)
+	}
+}
+
+func TestPlannerLimitExact(t *testing.T) {
+	p := NewPlanner(PlannerConfig{Strategy: StrategyCost, Seed: 1})
+	costs := uniformCosts(5, 0.001)
+	single := func(id model.BlockID) PlanRequest {
+		return PlanRequest{Metas: map[model.BlockID]*model.BlockMeta{id: makeMeta(id, 2, 2, 100, 1, 2, 3, 4)}}
+	}
+
+	// Budget 0: every request is served greedily.
+	p.LimitExact(0)
+	for i := 0; i < 2; i++ {
+		if _, err := p.Plan(single("a"), costs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := p.Stats(); st.Greedy != 2 || st.Exact != 0 {
+		t.Fatalf("budget 0: stats = %+v", st)
+	}
+
+	// Budget 1: the next request is exact, the one after greedy.
+	p.LimitExact(1)
+	if _, err := p.Plan(single("b"), costs); err != nil {
+		t.Fatal(err)
+	}
+	if st := p.Stats(); st.Exact != 1 || st.Greedy != 2 {
+		t.Fatalf("budget 1, first request: stats = %+v", st)
+	}
+	if _, err := p.Plan(single("b"), costs); err != nil {
+		t.Fatal(err)
+	}
+	if st := p.Stats(); st.Exact != 1 || st.Greedy != 3 {
+		t.Fatalf("budget 1, second request: stats = %+v", st)
+	}
+}
+
+// TestPlannerConcurrent plans the same and distinct requests from several
+// goroutines (run it with -race): every call is one exact solve, and every
+// plan is valid.
+func TestPlannerConcurrent(t *testing.T) {
+	p := NewPlanner(PlannerConfig{Strategy: StrategyCost, Delta: 1, Seed: 1})
+	costs := uniformCosts(6, 0.001)
+	const workers, calls = 8, 50
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < calls; i++ {
+				// Even calls share one request; odd ones cycle over
+				// per-worker requests.
+				id := model.BlockID("shared")
+				if i%2 == 1 {
+					id = model.BlockID(fmt.Sprintf("w%d-%d", w, i%5))
+				}
+				metas := map[model.BlockID]*model.BlockMeta{id: makeMeta(id, 2, 2, 100, 1, 2, 3, 4, 5)}
+				plan, err := p.Plan(PlanRequest{Metas: metas}, costs)
+				if err == nil {
+					err = ValidatePlan(plan, metas, 1)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if st := p.Stats(); st.Exact != workers*calls || st.Greedy != 0 {
+		t.Fatalf("stats = %+v, want %d exact solves", st, workers*calls)
+	}
+}
+
+// TestPlannerVersionChangeInvalidates: after a chunk moves, the same
+// request is planned against the new placement.
+func TestPlannerVersionChangeInvalidates(t *testing.T) {
+	p := NewPlanner(PlannerConfig{Strategy: StrategyCost, Seed: 1})
+	costs := uniformCosts(5, 0.001)
+	metas := twoBlockRequest()
+
+	if _, err := p.Plan(PlanRequest{Metas: metas}, costs); err != nil {
+		t.Fatal(err)
+	}
+	// Move every chunk of a that the first plan could read off the sites
+	// it shares with b.
+	metas["a"] = metas["a"].Clone()
+	metas["a"].Sites = []model.SiteID{1, 2, 7, 8}
+	metas["a"].Version++
+	plan, err := p.Plan(PlanRequest{Metas: metas}, costs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ValidatePlan(plan, metas, 0); err != nil {
+		t.Fatalf("plan does not match the new placement: %v", err)
+	}
+}
+
+func TestPlannerRandomStrategy(t *testing.T) {
+	p := NewPlanner(PlannerConfig{Strategy: StrategyRandom, Seed: 1})
+	metas := twoBlockRequest()
+	plan, err := p.Plan(PlanRequest{Metas: metas}, uniformCosts(5, 0.001))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ValidatePlan(plan, metas, 0); err != nil {
+		t.Fatal(err)
+	}
+	if st := p.Stats(); st.Random != 1 || st.Exact+st.Greedy != 0 {
+		t.Fatalf("stats = %+v, want one random plan", st)
+	}
+}
+
+func TestPlannerDeltaAppliedFromConfig(t *testing.T) {
+	p := NewPlanner(PlannerConfig{Strategy: StrategyCost, Delta: 1, Seed: 1})
+	metas := twoBlockRequest()
+	plan, err := p.Plan(PlanRequest{Metas: metas}, uniformCosts(5, 0.001))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := plan.ChunksFor("a"); got != 3 {
+		t.Fatalf("late-binding plan fetches %d chunks for a, want 3", got)
 	}
 }

@@ -76,7 +76,7 @@ type Params struct {
 	// MoverW2 is the movement load-balance weight relative to avg(o_j)
 	// (the paper's w2=3 at avg(o_j)=5, i.e. 0.6); zero means 0.6.
 	MoverW2 float64
-	// ExactSolvesPerInterval bounds how many plan-cache misses per stats
+	// ExactSolvesPerInterval bounds how many cost-model plans per stats
 	// interval are solved exactly (the rest are served greedily),
 	// modelling the paper's background solver's finite throughput.
 	ExactSolvesPerInterval int
@@ -303,10 +303,9 @@ func New(p Params, opt Options) (*Cluster, error) {
 	}
 	c.catalog = metadata.NewCatalog(c.siteIDs)
 	c.planner = placement.NewPlanner(placement.PlannerConfig{
-		Strategy:  opt.Strategy,
-		Delta:     opt.Delta,
-		CacheSize: 1 << 15,
-		Seed:      p.Seed + 2,
+		Strategy: opt.Strategy,
+		Delta:    opt.Delta,
+		Seed:     p.Seed + 2,
 	})
 	c.planner.LimitExact(p.ExactSolvesPerInterval)
 	if opt.Mover {
@@ -575,11 +574,9 @@ func (c *Cluster) scheduleStats() {
 	if probeInterval <= 0 {
 		probeInterval = c.p.StatsInterval
 	}
-	lastO := make(map[model.SiteID]float64, len(c.siteIDs))
 	var probe func()
 	probe = func() {
 		now := c.eng.Now()
-		reload := false
 		for _, id := range c.siteIDs {
 			s := c.sites[id]
 			if s.failed {
@@ -593,17 +590,6 @@ func (c *Cluster) scheduleStats() {
 			}
 			rtt := 2*c.p.NetOneWay + s.queueDelay(now) + s.overhead*factor
 			c.probes.Observe(id, rtt)
-			o := c.probes.O(id, c.defaultO())
-			if prev, ok := lastO[id]; ok && (o > 1.3*prev || prev > 1.3*o) {
-				reload = true
-			}
-			lastO[id] = o
-		}
-		// "When the cost parameters in the ILP problem change as a
-		// result of new system state, we dynamically reload
-		// solutions" (Section V-B1).
-		if reload {
-			c.planner.InvalidateAll()
 		}
 		c.eng.After(probeInterval, probe)
 	}

@@ -105,26 +105,33 @@ func TestSimMoverMovesChunks(t *testing.T) {
 	}
 }
 
-// TestSimCostStrategyUsesCache: the plan cache hits, and the planner's
-// exact-solve budget (ExactSolvesPerInterval, granted at start-up and at
-// every stats tick) caps the exact solves while greedy serves the rest of
-// the misses.
-func TestSimCostStrategyUsesCache(t *testing.T) {
+// TestSimCostStrategyExactBudget: every request is planned, and the
+// planner's exact-solve budget (ExactSolvesPerInterval, granted at start-up
+// and at every stats tick) caps the exact solves while greedy serves the
+// rest.
+func TestSimCostStrategyExactBudget(t *testing.T) {
 	p := tinyParams(6)
-	res := runTiny(t, p, Options{Strategy: placement.StrategyCost}, 200, 1, 0, 3)
-	st := res.Planner
-	if st.Hits == 0 {
-		t.Fatal("plan cache never hit")
+	c, err := New(p, Options{Strategy: placement.StrategyCost})
+	if err != nil {
+		t.Fatal(err)
 	}
+	const blocks = 200
+	if _, err := c.Populate(blocks, func(int) int64 { return 100 * 1024 }); err != nil {
+		t.Fatal(err)
+	}
+	st := c.Run(workload.NewYCSBE(blocks, 10, 1.0), 1, 0, 3).Planner
 	if st.Exact == 0 {
-		t.Fatal("no miss was solved exactly")
+		t.Fatal("no request was solved exactly")
 	}
 	// 4 simulated seconds: the grant at start-up plus one per tick.
 	if grants := int64(1 + 4/p.StatsInterval); st.Exact > grants*int64(p.ExactSolvesPerInterval) || st.Greedy == 0 {
 		t.Fatalf("stats = %+v, want at most %d exact solves and some greedy ones", st, grants*int64(p.ExactSolvesPerInterval))
 	}
-	if st.Exact+st.Greedy != st.Misses {
-		t.Fatalf("stats = %+v: exact + greedy != misses", st)
+	// Every started request is planned once, except those still in their
+	// metadata lookup when the run stops: at most one per closed-loop
+	// client.
+	if planned := st.Exact + st.Greedy; planned > c.reqSeen || planned < c.reqSeen-int64(p.NumClients) {
+		t.Fatalf("stats = %+v: %d plans for %d started requests", st, planned, c.reqSeen)
 	}
 }
 
@@ -279,9 +286,6 @@ func TestSimResourceUsage(t *testing.T) {
 	}
 	if u.StatsReports <= 0 {
 		t.Fatalf("no stats reports: %+v", u)
-	}
-	if u.CachedPlans <= 0 || u.PlannerBytes <= 0 {
-		t.Fatalf("planner usage = %+v", u)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package sim is a deterministic discrete-event simulator of an EC-Store
 // deployment. It runs the *real* strategy code — the cost-model planner,
-// plan cache, chunk mover and statistics trackers — against a queueing
+// chunk mover and statistics trackers — against a queueing
 // model of sites, disks and the network, so the paper's 20-minute
 // 36-machine experiments reproduce in seconds of wall-clock time on one
 // core with bit-identical results across runs.

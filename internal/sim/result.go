@@ -39,7 +39,7 @@ type Result struct {
 	// ScrubBytes is the total scrub read traffic injected across sites
 	// (zero when Options.ScrubBytesPerSec is zero).
 	ScrubBytes float64
-	// Planner carries plan-cache statistics.
+	// Planner counts plans by provenance (exact, greedy, random).
 	Planner placement.PlannerStats
 	// StorageOverhead is the scheme's storage expansion factor.
 	StorageOverhead float64
@@ -77,10 +77,6 @@ type ResourceUsage struct {
 	WindowRequests int
 	// StatsReports counts load reports received.
 	StatsReports int64
-	// PlannerBytes approximates the chunk read optimizer's cache memory.
-	PlannerBytes int
-	// CachedPlans counts cached access plans.
-	CachedPlans int
 }
 
 // CacheHotCoverage returns the fraction of the n hottest blocks (by
@@ -111,8 +107,6 @@ func (c *Cluster) ResourceUsage() ResourceUsage {
 		TrackedBlocks:  c.co.TrackedBlocks(),
 		WindowRequests: c.co.TotalRequests(),
 		StatsReports:   c.statsReports,
-		PlannerBytes:   c.planner.MemoryFootprint(),
-		CachedPlans:    c.planner.CacheLen(),
 	}
 }
 
