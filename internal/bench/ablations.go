@@ -223,9 +223,10 @@ func AblationBlockSize(sc Scale) (*Report, map[string]float64, error) {
 // 0-byte row is the cache-off baseline from the same seed, so the mean
 // and p99 columns read directly as the cache tier's contribution;
 // hot-cover is the fraction of the statistics service's 64 hottest
-// blocks resident in the cache at the end of the run (how well
-// stats-driven admission tracks the hot set), and hits= the raw count of
-// reads the cache served. The returned map holds each budget's result.
+// blocks resident in the cache at the end of the run (how well the
+// cache's frequency-sketch admission tracks the hot set), and hits= the
+// raw count of reads the cache served. The returned map holds each
+// budget's result.
 func AblationCache(sc Scale) (*Report, map[int64]*sim.Result, error) {
 	out := make(map[int64]float64)
 	results := make(map[int64]*sim.Result)

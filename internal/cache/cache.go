@@ -9,13 +9,15 @@
 // Design:
 //
 //   - Sharded, byte-budgeted store: FNV-1a(BlockID) picks one of N
-//     shards, each a mutex + map + intrusive LRU list, so concurrent
-//     readers rarely contend.
-//   - TinyLFU admission: a seeded count-min sketch estimates each
-//     block's recent request frequency; a candidate only displaces the
-//     LRU victim if its estimate (plus a co-access hotness boost from
-//     stats.CoAccessTracker) is at least the victim's. One-hit wonders
-//     never churn the hot set.
+//     shards, each a mutex + map + three intrusive LRU lists sharing one
+//     byte budget, so concurrent readers rarely contend.
+//   - W-TinyLFU eviction and admission (Einziger et al.): every miss
+//     enters a small window LRU; when the window overflows, its LRU tail
+//     enters the main space only if a seeded count-min sketch rates it
+//     strictly more frequent than main's victim, so one-hit wonders and
+//     sequential scans never churn the hot set. Main is a segmented LRU:
+//     a hit in probation promotes the entry to protected, and protected
+//     overflow is demoted back to probation.
 //   - Version-tagged invalidation: entries are keyed (BlockID,
 //     meta.Version). Chunk movement and overwrites bump the version
 //     through the catalog's CAS, so a hit requires an exact version
@@ -44,24 +46,14 @@ import (
 
 	"ecstore/internal/model"
 	"ecstore/internal/obs"
-	"ecstore/internal/stats"
 )
-
-// Hotness supplies the statistics service's view of how hot a block is.
-// *stats.CoAccessTracker implements it; nil disables the boost.
-type Hotness interface {
-	// Frequency returns P(block ∈ request) over the sliding window.
-	Frequency(b model.BlockID) float64
-	// Partners returns the strongest co-access partners of b.
-	Partners(b model.BlockID, max int) []stats.Partner
-}
 
 // Config tunes the cache.
 type Config struct {
 	// MaxBytes is the total decoded-byte budget across all shards.
 	// Required; New returns nil when it is <= 0 (cache disabled).
 	MaxBytes int64
-	// Shards is the number of independent LRU shards; 0 means 16.
+	// Shards is the number of independent shards; 0 means 16.
 	Shards int
 	// StaleTTL bounds stale-if-error serving: a version-mismatched
 	// entry is kept (marked stale) this long for GetStale. 0 disables
@@ -72,9 +64,6 @@ type Config struct {
 	Clock func() time.Time
 	// Seed drives the admission sketch's hashing.
 	Seed int64
-	// Hotness optionally boosts admission for blocks the statistics
-	// service considers hot. Nil disables the boost.
-	Hotness Hotness
 	// Metrics optionally exports cache instrumentation into a shared
 	// registry. Nil disables it.
 	Metrics *obs.Registry
@@ -90,8 +79,27 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// entry is one cached decoded block; entries form per-shard intrusive
-// doubly-linked LRU lists (head = most recent).
+const (
+	// windowPercent is the window LRU's share of a shard's byte budget.
+	// The window always keeps its newest entry, so a shard whose 1 % is
+	// smaller than a block still gives every miss a place to land.
+	windowPercent = 1
+	// protectedPercent caps the protected segment's share of the main
+	// space (the shard budget less the window's share).
+	protectedPercent = 80
+)
+
+// segment names the list an entry lives on.
+type segment uint8
+
+const (
+	window    segment = iota // every newly inserted entry
+	probation                // main-space entries seen once since admission
+	protected                // main-space entries hit again while in probation
+	numSegments
+)
+
+// entry is one cached decoded block, linked into its segment's list.
 type entry struct {
 	id      model.BlockID
 	version uint64
@@ -99,17 +107,24 @@ type entry struct {
 	size    int64
 	stale   bool
 	staleAt time.Time
+	seg     segment
 
 	prev, next *entry
 }
 
-// shard is one lock domain: a map for lookup plus an LRU list for
-// eviction order and a running byte count against its budget share.
-type shard struct {
-	mu         sync.Mutex
-	byID       map[model.BlockID]*entry
+// lruList is an intrusive doubly-linked LRU list (head = most recent)
+// with a running byte count of its entries.
+type lruList struct {
 	head, tail *entry
 	bytes      int64
+}
+
+// shard is one lock domain: a map for lookup plus one LRU list per
+// segment, whose byte counts together stay within the shard budget.
+type shard struct {
+	mu   sync.Mutex
+	byID map[model.BlockID]*entry
+	segs [numSegments]lruList
 }
 
 // Stats is a point-in-time snapshot of the cache counters.
@@ -156,9 +171,9 @@ func newCacheObs(reg *obs.Registry) cacheObs {
 	return cacheObs{
 		hits:          reg.Counter("cache_hits_total", "block reads served from the decoded-block cache"),
 		misses:        reg.Counter("cache_misses_total", "block reads not served by the cache"),
-		inserts:       reg.Counter("cache_inserts_total", "decoded blocks admitted into the cache"),
-		evictions:     reg.Counter("cache_evictions_total", "cached blocks evicted for capacity"),
-		rejects:       reg.Counter("cache_admission_rejects_total", "candidate blocks refused admission by the frequency sketch"),
+		inserts:       reg.Counter("cache_inserts_total", "decoded blocks entering the cache's window"),
+		evictions:     reg.Counter("cache_evictions_total", "main-space blocks evicted for capacity, and stale entries dropped after their TTL"),
+		rejects:       reg.Counter("cache_admission_rejects_total", "window candidates refused entry to the main space by the frequency sketch, and blocks larger than a shard"),
 		invalidations: reg.Counter("cache_invalidations_total", "entries invalidated by version change or explicit drop"),
 		staleServes:   reg.Counter("cache_stale_serves_total", "stale entries served because the block was unreadable"),
 		dedup:         reg.Counter("cache_singleflight_dedup_total", "fetch+decode calls coalesced onto an in-flight leader"),
@@ -167,16 +182,19 @@ func newCacheObs(reg *obs.Registry) cacheObs {
 	}
 }
 
-// Cache is a sharded, byte-budgeted decoded-block cache with
-// stats-driven admission and version-tagged invalidation. The zero
-// value is not usable; a nil *Cache is: every method no-ops (misses),
-// so callers thread an optional cache without nil checks.
+// Cache is a sharded, byte-budgeted decoded-block cache with W-TinyLFU
+// admission and version-tagged invalidation. The zero value is not
+// usable; a nil *Cache is: every method no-ops (misses), so callers
+// thread an optional cache without nil checks.
 type Cache struct {
 	cfg            Config
 	shards         []*shard
 	budgetPerShard int64
+	// windowBytes and protectedBytes are the per-shard caps of the window
+	// and protected segments; probation takes whatever main has left.
+	windowBytes    int64
+	protectedBytes int64
 	clock          func() time.Time
-	hot            Hotness
 	obs            cacheObs
 
 	sketchMu sync.Mutex
@@ -213,7 +231,6 @@ func New(cfg Config) *Cache {
 		shards:         make([]*shard, cfg.Shards),
 		budgetPerShard: cfg.MaxBytes / int64(cfg.Shards),
 		clock:          cfg.Clock,
-		hot:            cfg.Hotness,
 		obs:            newCacheObs(cfg.Metrics),
 		Flights:        NewFlightGroup(),
 		stop:           make(chan struct{}),
@@ -222,6 +239,8 @@ func New(cfg Config) *Cache {
 	if c.budgetPerShard <= 0 {
 		c.budgetPerShard = 1
 	}
+	c.windowBytes = c.budgetPerShard * windowPercent / 100
+	c.protectedBytes = (c.budgetPerShard - c.windowBytes) * protectedPercent / 100
 	for i := range c.shards {
 		c.shards[i] = &shard{byID: make(map[model.BlockID]*entry)}
 	}
@@ -249,31 +268,18 @@ func (c *Cache) touch(id model.BlockID) uint64 {
 	return h
 }
 
-// estimate reads the sketch's frequency estimate for hash h.
-func (c *Cache) estimate(h uint64) int {
+// estimate reads the sketch's frequency estimate for block id.
+func (c *Cache) estimate(id model.BlockID) int {
+	h := hashID(string(id))
 	c.sketchMu.Lock()
 	defer c.sketchMu.Unlock()
 	return c.sketch.estimate(h)
 }
 
-// score is the admission score for a candidate block: the sketch
-// estimate plus a boost when the statistics service marks the block (or
-// its co-access partnership) hot. Victim scores use the raw sketch
-// estimate, so hot blocks win ties against cold residents.
-func (c *Cache) score(id model.BlockID, h uint64) int {
-	s := c.estimate(h)
-	if c.hot == nil {
-		return s
-	}
-	if f := c.hot.Frequency(id); f > 0 {
-		// Frequency is P(block ∈ request) ∈ [0,1]; scale into sketch
-		// counter units so a block in ~12% of requests gains +1.
-		s += 1 + int(f*8)
-	}
-	if ps := c.hot.Partners(id, 1); len(ps) > 0 && ps[0].Lambda > 0 {
-		s++
-	}
-	return s
+// expired reports whether e is a stale entry past StaleTTL: it can no
+// longer be served at all, so it is a free eviction victim.
+func (c *Cache) expired(e *entry, now time.Time) bool {
+	return e.stale && now.Sub(e.staleAt) > c.cfg.StaleTTL
 }
 
 // Get returns the cached decoded bytes for (id, version). The returned
@@ -291,7 +297,7 @@ func (c *Cache) Get(id model.BlockID, version uint64) ([]byte, bool) {
 	sh.mu.Lock()
 	e, ok := sh.byID[id]
 	if ok && e.version == version && !e.stale {
-		sh.moveFront(e)
+		c.hitLocked(sh, e)
 		out := e.data
 		sh.mu.Unlock()
 		c.hits.Add(1)
@@ -315,7 +321,7 @@ func (c *Cache) Get(id model.BlockID, version uint64) ([]byte, bool) {
 		case !e.stale:
 			// e.version > version: the caller's metadata is older than
 			// the resident entry. Miss without touching the entry.
-		case now.Sub(e.staleAt) > c.cfg.StaleTTL:
+		case c.expired(e, now):
 			expired = true
 			c.removeLocked(sh, e)
 		}
@@ -349,7 +355,7 @@ func (c *Cache) GetStale(id model.BlockID) (data []byte, version uint64, ok bool
 	sh := c.shard(h)
 	sh.mu.Lock()
 	e, found := sh.byID[id]
-	if !found || (e.stale && now.Sub(e.staleAt) > c.cfg.StaleTTL) {
+	if !found || c.expired(e, now) {
 		sh.mu.Unlock()
 		return nil, 0, false
 	}
@@ -362,9 +368,12 @@ func (c *Cache) GetStale(id model.BlockID) (data []byte, version uint64, ok bool
 
 // Put offers the decoded bytes of (id, version) for admission and takes
 // ownership of data: from here on the slice is immutable, whether or
-// not it was admitted, because the caller typically also returns it to
-// its own caller. It returns whether the block is resident afterwards
-// (admission may refuse it in favour of hotter residents).
+// not it stays resident, because the caller typically also returns it to
+// its own caller. The entry enters the window and is resident when Put
+// returns true, which it does unless the block is larger than one
+// shard's budget. Once later Puts push it out of the window, it stays
+// only if the sketch rates it above main's victim. Put does not count as
+// an access: Get records each read.
 func (c *Cache) Put(id model.BlockID, version uint64, data []byte) bool {
 	if c == nil {
 		return false
@@ -386,74 +395,45 @@ func (c *Cache) putOwned(id model.BlockID, version uint64, data []byte, size int
 	if size <= 0 {
 		return false
 	}
-	h := c.touch(id)
 	if size > c.budgetPerShard {
 		c.rejects.Add(1)
 		c.obs.rejects.Inc()
 		return false
 	}
-	cand := c.score(id, h)
 	now := c.clock()
-
-	sh := c.shard(h)
+	sh := c.shard(hashID(string(id)))
 	sh.mu.Lock()
-	if e, ok := sh.byID[id]; ok {
-		// Refresh in place: newer decode wins, staleness clears.
-		sh.bytes += size - e.size
+	e, ok := sh.byID[id]
+	if ok {
+		// Refresh: the newer decode wins and staleness clears. It
+		// re-enters at the window's head like any new decode, which also
+		// keeps it out of the eviction below.
+		sh.segs[e.seg].unlink(e)
 		e.version, e.data, e.size = version, data, size
 		e.stale = false
 		e.staleAt = time.Time{}
-		sh.moveFront(e)
-		evicted := c.evictOverBudgetLocked(sh, e, cand, now)
-		sh.mu.Unlock()
-		c.finishPut(true, evicted, 0)
-		return true
+	} else {
+		e = &entry{id: id, version: version, data: data, size: size}
+		sh.byID[id] = e
 	}
-	evicted, rejected := 0, false
-	for sh.bytes+size > c.budgetPerShard {
-		victim := sh.tail
-		if victim == nil {
-			break
-		}
-		// Expired stale entries are free to drop; live residents are
-		// only displaced by an at-least-as-frequent candidate.
-		if !(victim.stale && now.Sub(victim.staleAt) > c.cfg.StaleTTL) &&
-			c.estimate(hashID(string(victim.id))) > cand {
-			rejected = true
-			break
-		}
-		c.removeLocked(sh, victim)
-		evicted++
-	}
-	if rejected {
-		sh.mu.Unlock()
-		c.rejects.Add(1)
-		c.obs.rejects.Inc()
-		c.finishPut(false, evicted, 0)
-		return false
-	}
-	e := &entry{id: id, version: version, data: data, size: size}
-	sh.byID[id] = e
-	sh.pushFront(e)
-	sh.bytes += size
+	e.seg = window
+	sh.segs[window].pushFront(e)
+	evicted, rejected := c.evictLocked(sh, now)
 	sh.mu.Unlock()
-	c.finishPut(true, evicted, 1)
-	return true
-}
-
-// finishPut updates counters and gauges after a put attempt.
-func (c *Cache) finishPut(admitted bool, evicted, inserted int) {
 	if evicted > 0 {
 		c.evictions.Add(int64(evicted))
 		c.obs.evictions.Add(int64(evicted))
 	}
-	if inserted > 0 {
-		c.inserts.Add(int64(inserted))
+	if rejected > 0 {
+		c.rejects.Add(int64(rejected))
+		c.obs.rejects.Add(int64(rejected))
+	}
+	if !ok {
+		c.inserts.Add(1)
 		c.obs.inserts.Inc()
 	}
-	if admitted || evicted > 0 {
-		c.syncGauges()
-	}
+	c.syncGauges()
+	return true
 }
 
 // Invalidate drops id's entry regardless of version (used on delete and
@@ -488,13 +468,15 @@ func (c *Cache) Sweep() int {
 	dropped := 0
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		for e := sh.tail; e != nil; {
-			prev := e.prev
-			if e.stale && now.Sub(e.staleAt) > c.cfg.StaleTTL {
-				c.removeLocked(sh, e)
-				dropped++
+		for seg := range sh.segs {
+			for e := sh.segs[seg].tail; e != nil; {
+				prev := e.prev
+				if c.expired(e, now) {
+					c.removeLocked(sh, e)
+					dropped++
+				}
+				e = prev
 			}
-			e = prev
 		}
 		sh.mu.Unlock()
 	}
@@ -523,7 +505,7 @@ func (c *Cache) Stats() Stats {
 	}
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		s.Bytes += sh.bytes
+		s.Bytes += sh.bytes()
 		s.Entries += len(sh.byID)
 		sh.mu.Unlock()
 	}
@@ -541,7 +523,7 @@ func (c *Cache) syncGauges() {
 	var entries int
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		bytes += sh.bytes
+		bytes += sh.bytes()
 		entries += len(sh.byID)
 		sh.mu.Unlock()
 	}
@@ -600,7 +582,7 @@ func (c *Cache) Close() {
 }
 
 // Contains reports whether any version of the block is resident (fresh
-// or stale) without touching hit/miss accounting, LRU order or the
+// or stale) without touching hit/miss accounting, segment order or the
 // admission sketch. Coverage reporting uses it; the read path never does.
 func (c *Cache) Contains(id model.BlockID) bool {
 	if c == nil {
@@ -623,65 +605,126 @@ func (c *Cache) DedupObserved(n int) {
 	c.obs.dedup.Add(int64(n))
 }
 
-// --- intrusive LRU list plumbing (shard.mu held) ---
-
-func (sh *shard) pushFront(e *entry) {
-	e.prev = nil
-	e.next = sh.head
-	if sh.head != nil {
-		sh.head.prev = e
-	}
-	sh.head = e
-	if sh.tail == nil {
-		sh.tail = e
-	}
-}
-
-func (sh *shard) unlink(e *entry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		sh.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		sh.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (sh *shard) moveFront(e *entry) {
-	if sh.head == e {
+// hitLocked records a hit on e in segment order: a probation hit
+// promotes e to protected, demoting protected's LRU tail back to
+// probation while protected is over its cap (shard.mu held).
+func (c *Cache) hitLocked(sh *shard, e *entry) {
+	if e.seg != probation {
+		sh.segs[e.seg].moveFront(e)
 		return
 	}
-	sh.unlink(e)
-	sh.pushFront(e)
+	sh.move(e, protected)
+	prot := &sh.segs[protected]
+	for prot.bytes > c.protectedBytes && prot.tail != prot.head {
+		sh.move(prot.tail, probation)
+	}
 }
 
-// removeLocked unlinks and deletes e from the shard (shard.mu held).
-func (c *Cache) removeLocked(sh *shard, e *entry) {
-	sh.unlink(e)
-	delete(sh.byID, e.id)
-	sh.bytes -= e.size
-	e.data = nil
-}
-
-// evictOverBudgetLocked drops tail entries while the shard is over
-// budget, sparing keep and respecting admission scores as in putOwned.
-func (c *Cache) evictOverBudgetLocked(sh *shard, keep *entry, cand int, now time.Time) int {
-	evicted := 0
-	for sh.bytes > c.budgetPerShard {
-		victim := sh.tail
-		if victim == nil || victim == keep {
-			break
+// evictLocked brings the shard back within its budget after an insert
+// (shard.mu held). While the window is over its share, its LRU tail is a
+// candidate for main: it displaces main's victims (probation's LRU tail,
+// or protected's when probation is empty) only while the sketch rates it
+// strictly more frequent, so ties keep the resident; a refused candidate
+// leaves the cache. An expired stale victim goes for free. If the
+// window's newest entry alone still overflows the budget, main yields
+// in LRU order.
+func (c *Cache) evictLocked(sh *shard, now time.Time) (evicted, rejected int) {
+	win := &sh.segs[window]
+	for win.bytes > c.windowBytes && win.tail != win.head {
+		cand := win.tail
+		freq := c.estimate(cand.id)
+		for sh.bytes() > c.budgetPerShard {
+			victim := sh.mainVictim()
+			if victim == nil || !c.expired(victim, now) && c.estimate(victim.id) >= freq {
+				break
+			}
+			c.removeLocked(sh, victim)
+			evicted++
 		}
-		if !(victim.stale && now.Sub(victim.staleAt) > c.cfg.StaleTTL) &&
-			c.estimate(hashID(string(victim.id))) > cand {
+		if sh.bytes() > c.budgetPerShard {
+			c.removeLocked(sh, cand)
+			rejected++
+		} else {
+			sh.move(cand, probation)
+		}
+	}
+	for sh.bytes() > c.budgetPerShard {
+		victim := sh.mainVictim()
+		if victim == nil {
 			break
 		}
 		c.removeLocked(sh, victim)
 		evicted++
 	}
-	return evicted
+	return evicted, rejected
+}
+
+// removeLocked unlinks and deletes e from the shard (shard.mu held).
+func (c *Cache) removeLocked(sh *shard, e *entry) {
+	sh.segs[e.seg].unlink(e)
+	delete(sh.byID, e.id)
+	e.data = nil
+}
+
+// --- segment plumbing (shard.mu held) ---
+
+// bytes is the shard's occupancy: the sum of its segments' bytes.
+func (sh *shard) bytes() int64 {
+	var n int64
+	for i := range sh.segs {
+		n += sh.segs[i].bytes
+	}
+	return n
+}
+
+// mainVictim is the main space's eviction candidate: probation's LRU
+// tail, or protected's when probation is empty.
+func (sh *shard) mainVictim() *entry {
+	if v := sh.segs[probation].tail; v != nil {
+		return v
+	}
+	return sh.segs[protected].tail
+}
+
+// move relinks e at the head of segment to.
+func (sh *shard) move(e *entry, to segment) {
+	sh.segs[e.seg].unlink(e)
+	e.seg = to
+	sh.segs[to].pushFront(e)
+}
+
+func (l *lruList) pushFront(e *entry) {
+	e.prev = nil
+	e.next = l.head
+	if l.head != nil {
+		l.head.prev = e
+	}
+	l.head = e
+	if l.tail == nil {
+		l.tail = e
+	}
+	l.bytes += e.size
+}
+
+func (l *lruList) unlink(e *entry) {
+	if e.prev != nil {
+		e.prev.next = e.next
+	} else {
+		l.head = e.next
+	}
+	if e.next != nil {
+		e.next.prev = e.prev
+	} else {
+		l.tail = e.prev
+	}
+	e.prev, e.next = nil, nil
+	l.bytes -= e.size
+}
+
+func (l *lruList) moveFront(e *entry) {
+	if l.head == e {
+		return
+	}
+	l.unlink(e)
+	l.pushFront(e)
 }

@@ -3,6 +3,7 @@ package cache
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
@@ -10,7 +11,7 @@ import (
 
 	"ecstore/internal/model"
 	"ecstore/internal/obs"
-	"ecstore/internal/stats"
+	"ecstore/internal/workload"
 )
 
 // fakeClock is an injectable deterministic clock.
@@ -87,47 +88,57 @@ func TestPutTakesOwnershipGetReturnsResident(t *testing.T) {
 }
 
 // TestHitAndRejectedPutAllocateNoBlockBytes bounds what the two hot
-// calls may allocate: a hit is pointer work, and a candidate that
-// admission turns away was never copied in the first place.
+// calls may allocate: a hit is pointer work, and a window candidate that
+// admission turns away from main was never copied in the first place.
 func TestHitAndRejectedPutAllocateNoBlockBytes(t *testing.T) {
 	const blockSize = 100 << 10
-	c := newTestCache(t, Config{MaxBytes: 2 * blockSize, Shards: 1, Seed: 1})
-	hot := model.BlockID("hot")
-	if !c.Put(hot, 1, make([]byte, blockSize)) {
-		t.Fatal("put rejected with empty cache")
+	// One shard of three blocks: a one-entry window and two in main.
+	c := newTestCache(t, Config{MaxBytes: 3 * blockSize, Shards: 1, Seed: 1})
+	for _, id := range []model.BlockID{"hot", "hot2"} {
+		c.Get(id, 1)
+		if !c.Put(id, 1, make([]byte, blockSize)) {
+			t.Fatalf("put %s rejected with room to spare", id)
+		}
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		if _, ok := c.Get(hot, 1); !ok {
+		if _, ok := c.Get("hot", 1); !ok {
 			t.Fatal("miss")
 		}
 	}); n > 0 {
 		t.Errorf("cache hit allocates %.1f times, want 0", n)
 	}
-
-	// Fill the shard with hot residents, then offer cold one-hit wonders.
-	if !c.Put("hot2", 1, make([]byte, blockSize)) {
-		t.Fatal("second resident rejected")
-	}
 	for i := 0; i < 8; i++ {
-		c.Get(hot, 1)
 		c.Get("hot2", 1)
 	}
+
+	// The first cold block moves hot2 from the window into main; from
+	// then on each cold block pushes its predecessor out of the window,
+	// and that one-hit wonder loses to main's hot residents.
 	cold := make([]byte, blockSize)
+	c.Get("cold-warm", 1)
+	c.Put("cold-warm", 1, cold)
 	rejectsBefore := c.Stats().AdmissionRejects
 	var m1, m2 runtime.MemStats
 	runtime.ReadMemStats(&m1)
 	const offers = 50
 	for i := 0; i < offers; i++ {
-		if c.Put(model.BlockID(fmt.Sprintf("cold-%d", i)), 1, cold) {
-			t.Fatalf("cold candidate %d displaced a hot resident", i)
+		id := model.BlockID(fmt.Sprintf("cold-%d", i))
+		c.Get(id, 1)
+		if !c.Put(id, 1, cold) {
+			t.Fatalf("cold block %d did not enter the window", i)
 		}
 	}
 	runtime.ReadMemStats(&m2)
 	if got := c.Stats().AdmissionRejects - rejectsBefore; got != offers {
-		t.Fatalf("admission rejected %d of %d cold candidates", got, offers)
+		t.Fatalf("admission refused %d of %d cold candidates", got, offers)
 	}
 	if perPut := (m2.TotalAlloc - m1.TotalAlloc) / offers; perPut > blockSize/10 {
-		t.Errorf("a rejected Put allocates %d bytes, want far below the %d-byte block", perPut, blockSize)
+		t.Errorf("a refused candidate allocates %d bytes, want far below the %d-byte block", perPut, blockSize)
+	}
+	for _, id := range []model.BlockID{"hot", "hot2"} {
+		if !c.Contains(id) {
+			t.Fatalf("cold candidates displaced hot resident %s", id)
+		}
 	}
 }
 
@@ -189,35 +200,48 @@ func TestGetStaleDisabledByDefault(t *testing.T) {
 	}
 }
 
+// TestLRUEvictionOrder pins the segment order: a probation hit promotes
+// an entry out of reach of eviction, a tie keeps probation's LRU tail,
+// and a strictly more frequent candidate evicts exactly that tail.
 func TestLRUEvictionOrder(t *testing.T) {
-	// Budget fits exactly 4 of the 100-byte blocks in one shard.
-	c := newTestCache(t, Config{MaxBytes: 400, Shards: 1, Seed: 1})
-	data := make([]byte, 100)
-	ids := []model.BlockID{"a", "b", "c", "d"}
-	for _, id := range ids {
-		if !c.Put(id, 1, data) {
-			t.Fatalf("put %s rejected", id)
+	// 500 bytes: a one-entry window of 100-byte blocks and four in main.
+	c := newTestCache(t, Config{MaxBytes: 500, Shards: 1, Seed: 1})
+	read := func(id model.BlockID) { readThrough(c, id, 100) }
+	for _, id := range []model.BlockID{"a", "b", "c", "d", "e"} {
+		read(id) // e stays in the window; main holds a..d, LRU tail a
+	}
+	read("a") // promoted to protected: b is now probation's LRU tail
+	read("f") // e (seen once) ties with b (seen once) and is refused
+	if c.Contains("e") || !c.Contains("b") {
+		t.Fatal("a tie between candidate and probation tail did not keep the resident")
+	}
+	read("g") // f, seen once, loses to b in turn
+	c.Get("f", 1)
+	c.Get("f", 1) // misses lift f's count to 3 without re-entering it
+	read("h")     // g ties with b and is refused
+	for _, id := range []model.BlockID{"f", "g"} {
+		if c.Contains(id) {
+			t.Fatalf("%s entered main without out-counting the probation tail", id)
 		}
 	}
-	// Touch "a" so "b" is the LRU tail.
-	if _, ok := c.Get("a", 1); !ok {
-		t.Fatal("miss on resident a")
+	read("f") // f re-enters the window at count 4
+	read("i") // f displaces the probation tail b, and only b
+	if c.Contains("b") {
+		t.Fatal("probation LRU tail b survived a more frequent candidate")
 	}
-	if !c.Put("e", 1, data) {
-		t.Fatal("put e rejected; equal-frequency candidate should displace the LRU tail")
-	}
-	if _, ok := c.Get("b", 1); ok {
-		t.Fatal("LRU victim b still resident")
-	}
-	for _, id := range []model.BlockID{"a", "c", "d", "e"} {
-		if _, ok := c.Get(id, 1); !ok {
+	for _, id := range []model.BlockID{"a", "c", "d", "f", "i"} {
+		if !c.Contains(id) {
 			t.Fatalf("wrongly evicted %s", id)
 		}
 	}
 }
 
+// TestAdmissionProtectsHotResidents: a one-hit wonder enters the window
+// and is resident after Put, but leaving the window it never displaces
+// a hotter main resident.
 func TestAdmissionProtectsHotResidents(t *testing.T) {
-	c := newTestCache(t, Config{MaxBytes: 200, Shards: 1, Seed: 1})
+	// 300 bytes: a one-entry window of 100-byte blocks and two in main.
+	c := newTestCache(t, Config{MaxBytes: 300, Shards: 1, Seed: 1})
 	data := make([]byte, 100)
 	// Make both residents hot: several sketch increments each.
 	for i := 0; i < 6; i++ {
@@ -227,12 +251,20 @@ func TestAdmissionProtectsHotResidents(t *testing.T) {
 	c.Put("hot-1", 1, data)
 	c.Put("hot-2", 1, data)
 
-	// A block seen once must not displace them.
-	if c.Put("one-hit-wonder", 1, data) {
-		t.Fatal("cold candidate displaced a hot resident")
+	for _, id := range []model.BlockID{"one-hit-wonder", "next"} {
+		c.Get(id, 1)
+		if !c.Put(id, 1, data) {
+			t.Fatalf("%s did not enter the window", id)
+		}
+		if !c.Contains(id) {
+			t.Fatalf("%s not resident after Put", id)
+		}
 	}
-	if s := c.Stats(); s.AdmissionRejects == 0 {
-		t.Fatalf("stats = %+v, want an admission reject", s)
+	if c.Contains("one-hit-wonder") {
+		t.Fatal("one-hit wonder left the window for main")
+	}
+	if s := c.Stats(); s.AdmissionRejects != 1 {
+		t.Fatalf("stats = %+v, want one admission reject", s)
 	}
 	for _, id := range []model.BlockID{"hot-1", "hot-2"} {
 		if _, ok := c.Get(id, 1); !ok {
@@ -241,28 +273,155 @@ func TestAdmissionProtectsHotResidents(t *testing.T) {
 	}
 }
 
-func TestHotnessBoostAdmitsTrackedBlock(t *testing.T) {
-	tr := stats.NewCoAccessTracker(64)
-	// The tracker has seen "popular" in every request window.
-	for i := 0; i < 50; i++ {
-		tr.Record([]model.BlockID{"popular", model.BlockID(fmt.Sprintf("noise-%d", i))})
+// TestScanResistance: one sequential pass over ten times the capacity
+// leaves the protected hot set resident.
+func TestScanResistance(t *testing.T) {
+	const block, capacity, hot = 100, 100, 40
+	c := newTestCache(t, Config{MaxBytes: capacity * block, Shards: 1, Seed: 1})
+	read := func(id model.BlockID) { readThrough(c, id, block) }
+	for round := 0; round < 4; round++ {
+		for i := 0; i < hot; i++ {
+			read(model.BlockID(fmt.Sprintf("hot-%d", i)))
+		}
+		// Push the last hot block out of the window so the next
+		// round's hit promotes it like the rest.
+		read(model.BlockID(fmt.Sprintf("filler-%d", round)))
 	}
-	c := newTestCache(t, Config{MaxBytes: 100, Shards: 1, Seed: 1, Hotness: tr})
-	data := make([]byte, 100)
+	if got := c.shards[0].segs[protected].bytes; got != hot*block {
+		t.Fatalf("protected holds %d bytes, want the %d-block hot set", got, hot)
+	}
+	for i := 0; i < 10*capacity; i++ {
+		read(model.BlockID(fmt.Sprintf("scan-%d", i)))
+	}
+	for i := 0; i < hot; i++ {
+		if id := model.BlockID(fmt.Sprintf("hot-%d", i)); !c.Contains(id) {
+			t.Fatalf("scan evicted hot block %s", id)
+		}
+	}
+}
 
-	// Resident was directly requested a few times (sketch count 3).
-	for i := 0; i < 3; i++ {
-		c.Get("resident", 1)
+// TestYCSBEReplayHitRate replays the straggler-scan request stream (2000
+// YCSB-E keys of 100 KiB, scans of up to 8, Zipf 0.99) through Get and
+// PutSized against a 32 MiB, 16-shard cache. Plain LRU order with
+// admission against the LRU tail served 0.50 of these block reads.
+func TestYCSBEReplayHitRate(t *testing.T) {
+	const requests = 200_000
+	c := newTestCache(t, Config{MaxBytes: 32 << 20, Seed: 1})
+	y := workload.NewYCSBESeeded(2000, 8, 0.99, 1)
+	y.OnMeasureStart()
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < requests; i++ {
+		for _, id := range y.NextRequest(rng) {
+			readThrough(c, id, 100<<10)
+		}
 	}
-	c.Put("resident", 1, data)
+	got := c.Stats().HitRatio()
+	t.Logf("hit rate %.4f", got)
+	if got < 0.55 {
+		t.Fatalf("hit rate = %.3f, want >= 0.55", got)
+	}
+}
 
-	// "popular" has only one sketch touch, but Frequency≈1 from the
-	// statistics service lifts its score past the resident's.
-	if !c.Put("popular", 1, data) {
-		t.Fatal("stats-hot block was refused admission")
+// readThrough reads version 1 of id as a client does: a Get, and on a
+// miss the Put of a size-byte block.
+func readThrough(c *Cache, id model.BlockID, size int64) {
+	if _, ok := c.Get(id, 1); !ok {
+		c.PutSized(id, 1, nil, size)
 	}
-	if _, ok := c.Get("popular", 1); !ok {
-		t.Fatal("stats-hot block not resident after put")
+}
+
+// TestRandomOpsKeepInvariants drives a seeded mix of every mutating call
+// with random versions, sizes (over-budget ones included) and a fake
+// clock, checking the shard accounting and Get's version contract after
+// every step.
+func TestRandomOpsKeepInvariants(t *testing.T) {
+	clk := newFakeClock()
+	const budget = 1000
+	c := newTestCache(t, Config{MaxBytes: 2 * budget, Shards: 2, Seed: 5, StaleTTL: time.Second, Clock: clk.Now})
+	rng := rand.New(rand.NewSource(11))
+	payload := func(id model.BlockID, v uint64) string { return fmt.Sprintf("%s@%d", id, v) }
+	// live is the one version of each block a Get may hit: the last one
+	// Put, until a Get for a newer version or an Invalidate retires it.
+	live := make(map[model.BlockID]uint64)
+	for step := 0; step < 20000; step++ {
+		id := model.BlockID(fmt.Sprintf("b%d", rng.Intn(40)))
+		v := uint64(1 + rng.Intn(4))
+		size := int64(1 + rng.Intn(budget/4))
+		if rng.Intn(50) == 0 {
+			size = budget + int64(rng.Intn(100))
+		}
+		switch op := rng.Intn(10); {
+		case op < 4:
+			data, ok := c.Get(id, v)
+			if ok && (string(data) != payload(id, v) || live[id] != v) {
+				t.Fatalf("step %d: Get(%s, %d) hit %q, live version %d", step, id, v, data, live[id])
+			}
+			if lv, ok := live[id]; ok && lv < v {
+				delete(live, id)
+			}
+		case op < 6:
+			if c.Put(id, v, []byte(payload(id, v))) {
+				live[id] = v
+			}
+		case op < 8:
+			if c.PutSized(id, v, []byte(payload(id, v)), size) {
+				live[id] = v
+			} else if size <= budget {
+				t.Fatalf("step %d: PutSized of %d bytes refused under a %d budget", step, size, budget)
+			}
+		case op < 9:
+			c.Invalidate(id)
+			delete(live, id)
+		default:
+			if data, ver, ok := c.GetStale(id); ok && string(data) != payload(id, ver) {
+				t.Fatalf("step %d: GetStale(%s) = %q for version %d", step, id, data, ver)
+			}
+			if rng.Intn(4) == 0 {
+				c.Sweep()
+			}
+		}
+		clk.Advance(time.Duration(rng.Intn(300)) * time.Millisecond)
+		checkShards(t, c, step)
+	}
+}
+
+// checkShards verifies every shard's segment lists against its map and
+// byte counters and the budget.
+func checkShards(t *testing.T, c *Cache, step int) {
+	t.Helper()
+	entries := 0
+	for si, sh := range c.shards {
+		sh.mu.Lock()
+		var total int64
+		n := 0
+		for seg := range sh.segs {
+			var sum int64
+			for e := sh.segs[seg].head; e != nil; e = e.next {
+				if e.seg != segment(seg) || sh.byID[e.id] != e {
+					sh.mu.Unlock()
+					t.Fatalf("step %d shard %d: %s linked in segment %d but tagged %d or unmapped", step, si, e.id, seg, e.seg)
+				}
+				sum += e.size
+				n++
+			}
+			if sum != sh.segs[seg].bytes {
+				sh.mu.Unlock()
+				t.Fatalf("step %d shard %d: segment %d counts %d bytes, entries sum to %d", step, si, seg, sh.segs[seg].bytes, sum)
+			}
+			total += sum
+		}
+		bytes, mapped := sh.bytes(), len(sh.byID)
+		sh.mu.Unlock()
+		if total != bytes || n != mapped {
+			t.Fatalf("step %d shard %d: lists hold %d entries / %d bytes, shard %d / %d", step, si, n, total, mapped, bytes)
+		}
+		if bytes > c.budgetPerShard {
+			t.Fatalf("step %d shard %d: %d bytes over the %d budget", step, si, bytes, c.budgetPerShard)
+		}
+		entries += n
+	}
+	if got := c.Stats().Entries; got != entries {
+		t.Fatalf("step %d: Stats().Entries = %d, lists hold %d", step, got, entries)
 	}
 }
 
@@ -494,5 +653,46 @@ func TestFlightResultIsShared(t *testing.T) {
 	}
 	if &got[0] != &src[0] {
 		t.Fatal("follower got a copy, want the leader's slice")
+	}
+}
+
+var benchSink []byte
+
+// BenchmarkCacheGetHit times a hit on a resident block; the hit-path
+// allocation bound is asserted by TestHitAndRejectedPutAllocateNoBlockBytes.
+func BenchmarkCacheGetHit(b *testing.B) {
+	c := New(Config{MaxBytes: 32 << 20, Seed: 1})
+	defer c.Close()
+	c.Put("hot", 1, make([]byte, 100<<10))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		data, ok := c.Get("hot", 1)
+		if !ok {
+			b.Fatal("miss")
+		}
+		benchSink = data
+	}
+}
+
+// BenchmarkCacheMissPut times the miss path of a read: a Get that misses
+// and the Put of the decoded block, over a population 256 times what
+// the cache holds, so nearly every Put also runs window admission.
+func BenchmarkCacheMissPut(b *testing.B) {
+	const block = 4 << 10
+	c := New(Config{MaxBytes: 256 * block, Seed: 1})
+	defer c.Close()
+	ids := make([]model.BlockID, 256*256)
+	for i := range ids {
+		ids[i] = model.BlockID(fmt.Sprintf("blk-%d", i))
+	}
+	data := make([]byte, block)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		id := ids[i%len(ids)]
+		if _, ok := c.Get(id, 1); !ok {
+			c.Put(id, 1, data)
+		}
 	}
 }

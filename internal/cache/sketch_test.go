@@ -71,3 +71,16 @@ func TestSketchDeterministicAcrossInstances(t *testing.T) {
 		t.Fatal("different seeds produced identical row multipliers")
 	}
 }
+
+// TestReadCountsOnceInSketch: a read that misses and then fills the
+// cache is one access, recorded by Get alone.
+func TestReadCountsOnceInSketch(t *testing.T) {
+	c := New(Config{MaxBytes: 1 << 20, Shards: 1, Seed: 1})
+	if _, ok := c.Get("b", 1); ok {
+		t.Fatal("hit on empty cache")
+	}
+	c.Put("b", 1, []byte("x"))
+	if got := c.estimate("b"); got != 1 {
+		t.Fatalf("estimate after one missed read = %d, want 1", got)
+	}
+}

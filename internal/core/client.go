@@ -315,7 +315,7 @@ type Deps struct {
 	Meta  metadata.Service
 	Sites map[model.SiteID]storage.SiteAPI
 	// CoAccess receives sampled multi-block requests; shared with the
-	// chunk mover. Nil creates a private tracker.
+	// chunk mover. Nil records nothing.
 	CoAccess *stats.CoAccessTracker
 	// Probes supplies o_j estimates; nil creates a private estimator.
 	Probes *stats.ProbeEstimator
@@ -365,10 +365,6 @@ func NewClient(cfg Config, deps Deps) (*Client, error) {
 	if placerErr != nil {
 		return nil, placerErr
 	}
-	coaccess := deps.CoAccess
-	if coaccess == nil {
-		coaccess = stats.NewCoAccessTracker(0)
-	}
 	probes := deps.Probes
 	if probes == nil {
 		probes = stats.NewProbeEstimator(0.3)
@@ -381,7 +377,6 @@ func NewClient(cfg Config, deps Deps) (*Client, error) {
 		MaxBytes: cfg.CacheBytes,
 		StaleTTL: cfg.CacheStaleTTL,
 		Seed:     cfg.Seed + 3,
-		Hotness:  coaccess,
 		Metrics:  deps.Metrics,
 	})
 	if blockCache != nil {
@@ -406,7 +401,7 @@ func NewClient(cfg Config, deps Deps) (*Client, error) {
 			Metrics:  deps.Metrics,
 		}),
 		placer:   placer,
-		coaccess: coaccess,
+		coaccess: deps.CoAccess,
 		probes:   probes,
 		zones:    deps.Zones,
 		cache:    blockCache,

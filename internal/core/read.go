@@ -182,7 +182,9 @@ func (c *Client) GetMultiContext(ctx context.Context, ids []model.BlockID) (map[
 	c.obs.metadataH.Observe(bd.Metadata)
 
 	// Feed co-access statistics (sampled request stream).
-	c.coaccess.Record(ids)
+	if c.coaccess != nil {
+		c.coaccess.Record(ids)
+	}
 
 	// Sealed pack members resolve to synthesized metadata (PackedIn set):
 	// their bytes are a range of their container's. They leave metas, and

@@ -333,7 +333,6 @@ func New(p Params, opt Options) (*Cluster, error) {
 		c.blockCache = cache.New(cache.Config{
 			MaxBytes: opt.CacheBytes,
 			Seed:     p.Seed + 6,
-			Hotness:  c.co,
 			Clock: func() time.Time {
 				return time.Unix(0, 0).Add(time.Duration(c.eng.Now() * float64(time.Second)))
 			},
@@ -850,8 +849,8 @@ func (c *Cluster) cachePhase(metas map[model.BlockID]*model.BlockMeta) map[model
 
 // cachePopulate admits just-decoded blocks, again in sorted order for
 // determinism. Entries carry only sizes (PutSized with a nil payload):
-// the simulator never materializes block bytes, but the budget, LRU and
-// admission behaviour are exactly the real cache's.
+// the simulator never materializes block bytes, but the budget, segment
+// order and admission behaviour are exactly the real cache's.
 func (c *Cluster) cachePopulate(metas map[model.BlockID]*model.BlockMeta) {
 	if c.blockCache == nil {
 		return

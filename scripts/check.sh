@@ -5,8 +5,9 @@
 # wrapping, metric naming, lock-order and pool-balance rules), run the
 # quick test suite under the race detector (the buffer-owning packages
 # again in full, with bufpool's poison hook on), run the read path's hit,
-# miss and range benchmarks and the exact access planner's benchmark
-# once, then smoke-run the fault-tolerance
+# miss and range benchmarks, the decoded-block cache's hit and miss
+# benchmarks and the exact access planner's benchmark once, then
+# smoke-run the fault-tolerance
 # example end to end (degraded reads, repair, recovery), the scrubbing
 # example (injected bit rot -> nonzero scrub_corrupt_detected), the
 # movement example (the move executor end to end: nonzero committed
@@ -29,6 +30,7 @@ go run ./cmd/ecstore-lint ./...
 go test -race -short ./...
 go test -race ./internal/bufpool ./internal/cache ./internal/core ./internal/rpc ./internal/storage
 go test -run TestNone -bench ReadPath -benchtime 1x -benchmem ./internal/core
+go test -run TestNone -bench Cache -benchtime 1x -benchmem ./internal/cache
 go test -run TestNone -bench ExactPlan -benchtime 1x -benchmem ./internal/placement
 go run ./examples/faulttolerance
 scrub=$(go run ./examples/scrubbing)
