@@ -8,9 +8,10 @@
 //
 // Design:
 //
-//   - Sharded, byte-budgeted store: FNV-1a(BlockID) picks one of N
-//     shards, each a mutex + map + three intrusive LRU lists sharing one
-//     byte budget, so concurrent readers rarely contend.
+//   - One byte-budgeted policy: a mutex guards a map, three intrusive
+//     LRU lists sharing the whole budget and the admission sketch, so
+//     every block competes with every other and any block up to the
+//     budget can be cached.
 //   - W-TinyLFU eviction and admission (Einziger et al.): every miss
 //     enters a small window LRU; when the window overflows, its LRU tail
 //     enters the main space only if a seeded count-min sketch rates it
@@ -30,7 +31,7 @@
 //     slice and Get hands out that same slice, so a cached block is an
 //     immutable value shared by the cache and every reader it was ever
 //     returned to. Nobody may modify it and it never enters a buffer
-//     pool. A hit therefore costs pointer work under the shard mutex, and
+//     pool. A hit therefore costs pointer work under the cache mutex, and
 //     eviction just drops the cache's reference — readers still holding
 //     the block keep it alive.
 //
@@ -50,11 +51,9 @@ import (
 
 // Config tunes the cache.
 type Config struct {
-	// MaxBytes is the total decoded-byte budget across all shards.
-	// Required; New returns nil when it is <= 0 (cache disabled).
+	// MaxBytes is the decoded-byte budget. Required; New returns nil
+	// when it is <= 0 (cache disabled).
 	MaxBytes int64
-	// Shards is the number of independent shards; 0 means 16.
-	Shards int
 	// StaleTTL bounds stale-if-error serving: a version-mismatched
 	// entry is kept (marked stale) this long for GetStale. 0 disables
 	// stale serving entirely — mismatches are dropped on sight.
@@ -69,23 +68,13 @@ type Config struct {
 	Metrics *obs.Registry
 }
 
-func (c Config) withDefaults() Config {
-	if c.Shards <= 0 {
-		c.Shards = 16
-	}
-	if c.Clock == nil {
-		c.Clock = time.Now
-	}
-	return c
-}
-
 const (
-	// windowPercent is the window LRU's share of a shard's byte budget.
-	// The window always keeps its newest entry, so a shard whose 1 % is
+	// windowPercent is the window LRU's share of the byte budget. The
+	// window always keeps its newest entry, so a budget whose 1 % is
 	// smaller than a block still gives every miss a place to land.
 	windowPercent = 1
 	// protectedPercent caps the protected segment's share of the main
-	// space (the shard budget less the window's share).
+	// space (the budget less the window's share).
 	protectedPercent = 80
 )
 
@@ -117,14 +106,6 @@ type entry struct {
 type lruList struct {
 	head, tail *entry
 	bytes      int64
-}
-
-// shard is one lock domain: a map for lookup plus one LRU list per
-// segment, whose byte counts together stay within the shard budget.
-type shard struct {
-	mu   sync.Mutex
-	byID map[model.BlockID]*entry
-	segs [numSegments]lruList
 }
 
 // Stats is a point-in-time snapshot of the cache counters.
@@ -173,7 +154,7 @@ func newCacheObs(reg *obs.Registry) cacheObs {
 		misses:        reg.Counter("cache_misses_total", "block reads not served by the cache"),
 		inserts:       reg.Counter("cache_inserts_total", "decoded blocks entering the cache's window"),
 		evictions:     reg.Counter("cache_evictions_total", "main-space blocks evicted for capacity, and stale entries dropped after their TTL"),
-		rejects:       reg.Counter("cache_admission_rejects_total", "window candidates refused entry to the main space by the frequency sketch, and blocks larger than a shard"),
+		rejects:       reg.Counter("cache_admission_rejects_total", "window candidates refused entry to the main space by the frequency sketch, and blocks larger than the budget"),
 		invalidations: reg.Counter("cache_invalidations_total", "entries invalidated by version change or explicit drop"),
 		staleServes:   reg.Counter("cache_stale_serves_total", "stale entries served because the block was unreadable"),
 		dedup:         reg.Counter("cache_singleflight_dedup_total", "fetch+decode calls coalesced onto an in-flight leader"),
@@ -182,23 +163,24 @@ func newCacheObs(reg *obs.Registry) cacheObs {
 	}
 }
 
-// Cache is a sharded, byte-budgeted decoded-block cache with W-TinyLFU
-// admission and version-tagged invalidation. The zero value is not
-// usable; a nil *Cache is: every method no-ops (misses), so callers
-// thread an optional cache without nil checks.
+// Cache is a byte-budgeted decoded-block cache with W-TinyLFU admission
+// and version-tagged invalidation. The zero value is not usable; a nil
+// *Cache is: every method no-ops (misses), so callers thread an
+// optional cache without nil checks.
 type Cache struct {
-	cfg            Config
-	shards         []*shard
-	budgetPerShard int64
-	// windowBytes and protectedBytes are the per-shard caps of the window
-	// and protected segments; probation takes whatever main has left.
+	cfg Config
+	// windowBytes and protectedBytes cap the window and protected
+	// segments; probation takes whatever main has left.
 	windowBytes    int64
 	protectedBytes int64
-	clock          func() time.Time
 	obs            cacheObs
 
-	sketchMu sync.Mutex
-	sketch   *sketch
+	// mu guards the map, the segment lists, whose byte counts together
+	// stay within MaxBytes, and the admission sketch.
+	mu     sync.Mutex
+	byID   map[model.BlockID]*entry
+	segs   [numSegments]lruList
+	sketch *sketch
 
 	// Flights deduplicates concurrent fetch+decode of the same
 	// (block, version) across callers that miss the cache.
@@ -225,24 +207,19 @@ func New(cfg Config) *Cache {
 	if cfg.MaxBytes <= 0 {
 		return nil
 	}
-	cfg = cfg.withDefaults()
+	if cfg.Clock == nil {
+		cfg.Clock = time.Now
+	}
+	window := cfg.MaxBytes * windowPercent / 100
 	c := &Cache{
 		cfg:            cfg,
-		shards:         make([]*shard, cfg.Shards),
-		budgetPerShard: cfg.MaxBytes / int64(cfg.Shards),
-		clock:          cfg.Clock,
+		windowBytes:    window,
+		protectedBytes: (cfg.MaxBytes - window) * protectedPercent / 100,
 		obs:            newCacheObs(cfg.Metrics),
+		byID:           make(map[model.BlockID]*entry),
 		Flights:        NewFlightGroup(),
 		stop:           make(chan struct{}),
 		done:           make(chan struct{}),
-	}
-	if c.budgetPerShard <= 0 {
-		c.budgetPerShard = 1
-	}
-	c.windowBytes = c.budgetPerShard * windowPercent / 100
-	c.protectedBytes = (c.budgetPerShard - c.windowBytes) * protectedPercent / 100
-	for i := range c.shards {
-		c.shards[i] = &shard{byID: make(map[model.BlockID]*entry)}
 	}
 	// Size the sketch for the plausible entry population assuming 4 KiB
 	// blocks as a floor; oversizing only costs a few KiB.
@@ -254,26 +231,10 @@ func New(cfg Config) *Cache {
 	return c
 }
 
-func (c *Cache) shard(h uint64) *shard {
-	return c.shards[h%uint64(len(c.shards))]
-}
-
-// touch records an access in the admission sketch and returns the
-// block's hash.
-func (c *Cache) touch(id model.BlockID) uint64 {
-	h := hashID(string(id))
-	c.sketchMu.Lock()
-	c.sketch.add(h)
-	c.sketchMu.Unlock()
-	return h
-}
-
-// estimate reads the sketch's frequency estimate for block id.
+// estimate reads the sketch's frequency estimate for block id (c.mu
+// held).
 func (c *Cache) estimate(id model.BlockID) int {
-	h := hashID(string(id))
-	c.sketchMu.Lock()
-	defer c.sketchMu.Unlock()
-	return c.sketch.estimate(h)
+	return c.sketch.estimate(hashID(string(id)))
 }
 
 // expired reports whether e is a stale entry past StaleTTL: it can no
@@ -291,15 +252,15 @@ func (c *Cache) Get(id model.BlockID, version uint64) ([]byte, bool) {
 	if c == nil {
 		return nil, false
 	}
-	h := c.touch(id)
-	now := c.clock()
-	sh := c.shard(h)
-	sh.mu.Lock()
-	e, ok := sh.byID[id]
+	h := hashID(string(id))
+	now := c.cfg.Clock()
+	c.mu.Lock()
+	c.sketch.add(h)
+	e, ok := c.byID[id]
 	if ok && e.version == version && !e.stale {
-		c.hitLocked(sh, e)
+		c.hitLocked(e)
 		out := e.data
-		sh.mu.Unlock()
+		c.mu.Unlock()
 		c.hits.Add(1)
 		c.obs.hits.Inc()
 		return out, true
@@ -316,17 +277,17 @@ func (c *Cache) Get(id model.BlockID, version uint64) ([]byte, bool) {
 				e.stale = true
 				e.staleAt = now
 			} else {
-				c.removeLocked(sh, e)
+				c.removeLocked(e)
 			}
 		case !e.stale:
 			// e.version > version: the caller's metadata is older than
 			// the resident entry. Miss without touching the entry.
 		case c.expired(e, now):
 			expired = true
-			c.removeLocked(sh, e)
+			c.removeLocked(e)
 		}
 	}
-	sh.mu.Unlock()
+	c.mu.Unlock()
 	if invalidated {
 		c.invalidations.Add(1)
 		c.obs.invalidations.Inc()
@@ -350,17 +311,15 @@ func (c *Cache) GetStale(id model.BlockID) (data []byte, version uint64, ok bool
 	if c == nil || c.cfg.StaleTTL <= 0 {
 		return nil, 0, false
 	}
-	h := hashID(string(id))
-	now := c.clock()
-	sh := c.shard(h)
-	sh.mu.Lock()
-	e, found := sh.byID[id]
+	now := c.cfg.Clock()
+	c.mu.Lock()
+	e, found := c.byID[id]
 	if !found || c.expired(e, now) {
-		sh.mu.Unlock()
+		c.mu.Unlock()
 		return nil, 0, false
 	}
 	out, ver := e.data, e.version
-	sh.mu.Unlock()
+	c.mu.Unlock()
 	c.staleServes.Add(1)
 	c.obs.staleServes.Inc()
 	return out, ver, true
@@ -370,9 +329,9 @@ func (c *Cache) GetStale(id model.BlockID) (data []byte, version uint64, ok bool
 // ownership of data: from here on the slice is immutable, whether or
 // not it stays resident, because the caller typically also returns it to
 // its own caller. The entry enters the window and is resident when Put
-// returns true, which it does unless the block is larger than one
-// shard's budget. Once later Puts push it out of the window, it stays
-// only if the sketch rates it above main's victim. Put does not count as
+// returns true, which it does unless the block is larger than MaxBytes.
+// Once later Puts push it out of the window, it stays only if the
+// sketch rates it above main's victim. Put does not count as
 // an access: Get records each read.
 func (c *Cache) Put(id model.BlockID, version uint64, data []byte) bool {
 	if c == nil {
@@ -395,31 +354,31 @@ func (c *Cache) putOwned(id model.BlockID, version uint64, data []byte, size int
 	if size <= 0 {
 		return false
 	}
-	if size > c.budgetPerShard {
+	if size > c.cfg.MaxBytes {
 		c.rejects.Add(1)
 		c.obs.rejects.Inc()
 		return false
 	}
-	now := c.clock()
-	sh := c.shard(hashID(string(id)))
-	sh.mu.Lock()
-	e, ok := sh.byID[id]
+	now := c.cfg.Clock()
+	c.mu.Lock()
+	e, ok := c.byID[id]
 	if ok {
 		// Refresh: the newer decode wins and staleness clears. It
 		// re-enters at the window's head like any new decode, which also
 		// keeps it out of the eviction below.
-		sh.segs[e.seg].unlink(e)
+		c.segs[e.seg].unlink(e)
 		e.version, e.data, e.size = version, data, size
 		e.stale = false
 		e.staleAt = time.Time{}
 	} else {
 		e = &entry{id: id, version: version, data: data, size: size}
-		sh.byID[id] = e
+		c.byID[id] = e
 	}
 	e.seg = window
-	sh.segs[window].pushFront(e)
-	evicted, rejected := c.evictLocked(sh, now)
-	sh.mu.Unlock()
+	c.segs[window].pushFront(e)
+	evicted, rejected := c.evictLocked(now)
+	c.syncGaugesLocked()
+	c.mu.Unlock()
 	if evicted > 0 {
 		c.evictions.Add(int64(evicted))
 		c.obs.evictions.Add(int64(evicted))
@@ -432,7 +391,6 @@ func (c *Cache) putOwned(id model.BlockID, version uint64, data []byte, size int
 		c.inserts.Add(1)
 		c.obs.inserts.Inc()
 	}
-	c.syncGauges()
 	return true
 }
 
@@ -442,18 +400,15 @@ func (c *Cache) Invalidate(id model.BlockID) {
 	if c == nil {
 		return
 	}
-	h := hashID(string(id))
-	sh := c.shard(h)
-	sh.mu.Lock()
-	e, ok := sh.byID[id]
+	c.mu.Lock()
+	e, ok := c.byID[id]
 	if ok {
-		c.removeLocked(sh, e)
+		c.removeLocked(e)
 	}
-	sh.mu.Unlock()
+	c.mu.Unlock()
 	if ok {
 		c.invalidations.Add(1)
 		c.obs.invalidations.Inc()
-		c.syncGauges()
 	}
 }
 
@@ -464,26 +419,23 @@ func (c *Cache) Sweep() int {
 	if c == nil {
 		return 0
 	}
-	now := c.clock()
+	now := c.cfg.Clock()
 	dropped := 0
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		for seg := range sh.segs {
-			for e := sh.segs[seg].tail; e != nil; {
-				prev := e.prev
-				if c.expired(e, now) {
-					c.removeLocked(sh, e)
-					dropped++
-				}
-				e = prev
+	c.mu.Lock()
+	for seg := range c.segs {
+		for e := c.segs[seg].tail; e != nil; {
+			prev := e.prev
+			if c.expired(e, now) {
+				c.removeLocked(e)
+				dropped++
 			}
+			e = prev
 		}
-		sh.mu.Unlock()
 	}
+	c.mu.Unlock()
 	if dropped > 0 {
 		c.evictions.Add(int64(dropped))
 		c.obs.evictions.Add(int64(dropped))
-		c.syncGauges()
 	}
 	return dropped
 }
@@ -503,32 +455,18 @@ func (c *Cache) Stats() Stats {
 		StaleServes:      c.staleServes.Load(),
 		MaxBytes:         c.cfg.MaxBytes,
 	}
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		s.Bytes += sh.bytes()
-		s.Entries += len(sh.byID)
-		sh.mu.Unlock()
-	}
-	c.obs.bytes.Set(s.Bytes)
-	c.obs.entries.Set(int64(s.Entries))
+	c.mu.Lock()
+	s.Bytes, s.Entries = c.bytes(), len(c.byID)
+	c.mu.Unlock()
 	return s
 }
 
-// syncGauges refreshes the occupancy gauges from shard state.
-func (c *Cache) syncGauges() {
-	if c.obs.bytes == nil && c.obs.entries == nil {
-		return
-	}
-	var bytes int64
-	var entries int
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		bytes += sh.bytes()
-		entries += len(sh.byID)
-		sh.mu.Unlock()
-	}
-	c.obs.bytes.Set(bytes)
-	c.obs.entries.Set(int64(entries))
+// syncGaugesLocked sets the occupancy gauges from the running totals
+// (c.mu held). Every change of occupancy, an insert or a removal, calls
+// it, so the gauges always match the state the lock publishes.
+func (c *Cache) syncGaugesLocked() {
+	c.obs.bytes.Set(c.bytes())
+	c.obs.entries.Set(int64(len(c.byID)))
 }
 
 // StartMaintenance launches the background sweep goroutine, which
@@ -588,10 +526,9 @@ func (c *Cache) Contains(id model.BlockID) bool {
 	if c == nil {
 		return false
 	}
-	sh := c.shard(hashID(string(id)))
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	_, ok := sh.byID[id]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.byID[id]
 	return ok
 }
 
@@ -607,90 +544,88 @@ func (c *Cache) DedupObserved(n int) {
 
 // hitLocked records a hit on e in segment order: a probation hit
 // promotes e to protected, demoting protected's LRU tail back to
-// probation while protected is over its cap (shard.mu held).
-func (c *Cache) hitLocked(sh *shard, e *entry) {
+// probation while protected is over its cap (c.mu held).
+func (c *Cache) hitLocked(e *entry) {
 	if e.seg != probation {
-		sh.segs[e.seg].moveFront(e)
+		c.segs[e.seg].moveFront(e)
 		return
 	}
-	sh.move(e, protected)
-	prot := &sh.segs[protected]
+	c.move(e, protected)
+	prot := &c.segs[protected]
 	for prot.bytes > c.protectedBytes && prot.tail != prot.head {
-		sh.move(prot.tail, probation)
+		c.move(prot.tail, probation)
 	}
 }
 
-// evictLocked brings the shard back within its budget after an insert
-// (shard.mu held). While the window is over its share, its LRU tail is a
+// evictLocked brings the cache back within its budget after an insert
+// (c.mu held). While the window is over its share, its LRU tail is a
 // candidate for main: it displaces main's victims (probation's LRU tail,
 // or protected's when probation is empty) only while the sketch rates it
 // strictly more frequent, so ties keep the resident; a refused candidate
 // leaves the cache. An expired stale victim goes for free. If the
 // window's newest entry alone still overflows the budget, main yields
 // in LRU order.
-func (c *Cache) evictLocked(sh *shard, now time.Time) (evicted, rejected int) {
-	win := &sh.segs[window]
+func (c *Cache) evictLocked(now time.Time) (evicted, rejected int) {
+	budget := c.cfg.MaxBytes
+	win := &c.segs[window]
 	for win.bytes > c.windowBytes && win.tail != win.head {
 		cand := win.tail
 		freq := c.estimate(cand.id)
-		for sh.bytes() > c.budgetPerShard {
-			victim := sh.mainVictim()
+		for c.bytes() > budget {
+			victim := c.mainVictim()
 			if victim == nil || !c.expired(victim, now) && c.estimate(victim.id) >= freq {
 				break
 			}
-			c.removeLocked(sh, victim)
+			c.removeLocked(victim)
 			evicted++
 		}
-		if sh.bytes() > c.budgetPerShard {
-			c.removeLocked(sh, cand)
+		if c.bytes() > budget {
+			c.removeLocked(cand)
 			rejected++
 		} else {
-			sh.move(cand, probation)
+			c.move(cand, probation)
 		}
 	}
-	for sh.bytes() > c.budgetPerShard {
-		victim := sh.mainVictim()
+	for c.bytes() > budget {
+		victim := c.mainVictim()
 		if victim == nil {
 			break
 		}
-		c.removeLocked(sh, victim)
+		c.removeLocked(victim)
 		evicted++
 	}
 	return evicted, rejected
 }
 
-// removeLocked unlinks and deletes e from the shard (shard.mu held).
-func (c *Cache) removeLocked(sh *shard, e *entry) {
-	sh.segs[e.seg].unlink(e)
-	delete(sh.byID, e.id)
+// --- segment plumbing (c.mu held) ---
+
+// removeLocked unlinks and deletes e.
+func (c *Cache) removeLocked(e *entry) {
+	c.segs[e.seg].unlink(e)
+	delete(c.byID, e.id)
 	e.data = nil
+	c.syncGaugesLocked()
 }
 
-// --- segment plumbing (shard.mu held) ---
-
-// bytes is the shard's occupancy: the sum of its segments' bytes.
-func (sh *shard) bytes() int64 {
-	var n int64
-	for i := range sh.segs {
-		n += sh.segs[i].bytes
-	}
-	return n
+// bytes is the occupancy: the sum of the segments' bytes.
+func (c *Cache) bytes() int64 {
+	return c.segs[window].bytes + c.segs[probation].bytes + c.segs[protected].bytes
 }
 
 // mainVictim is the main space's eviction candidate: probation's LRU
 // tail, or protected's when probation is empty.
-func (sh *shard) mainVictim() *entry {
-	if v := sh.segs[probation].tail; v != nil {
+func (c *Cache) mainVictim() *entry {
+	if v := c.segs[probation].tail; v != nil {
 		return v
 	}
-	return sh.segs[protected].tail
+	return c.segs[protected].tail
 }
 
 // move relinks e at the head of segment to.
-func (sh *shard) move(e *entry, to segment) {
-	sh.segs[e.seg].unlink(e)
+func (c *Cache) move(e *entry, to segment) {
+	c.segs[e.seg].unlink(e)
 	e.seg = to
-	sh.segs[to].pushFront(e)
+	c.segs[to].pushFront(e)
 }
 
 func (l *lruList) pushFront(e *entry) {

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -51,7 +52,7 @@ func newTestCache(t *testing.T, cfg Config) *Cache {
 // second Get all hand back that same backing array — no block bytes are
 // allocated or copied on either side.
 func TestPutTakesOwnershipGetReturnsResident(t *testing.T) {
-	c := newTestCache(t, Config{MaxBytes: 1 << 20, Shards: 1, Seed: 1, StaleTTL: time.Minute})
+	c := newTestCache(t, Config{MaxBytes: 1 << 20, Seed: 1, StaleTTL: time.Minute})
 	id := model.BlockID("block-0001")
 	payload := []byte("decoded bytes")
 
@@ -92,8 +93,8 @@ func TestPutTakesOwnershipGetReturnsResident(t *testing.T) {
 // admission turns away from main was never copied in the first place.
 func TestHitAndRejectedPutAllocateNoBlockBytes(t *testing.T) {
 	const blockSize = 100 << 10
-	// One shard of three blocks: a one-entry window and two in main.
-	c := newTestCache(t, Config{MaxBytes: 3 * blockSize, Shards: 1, Seed: 1})
+	// Three blocks: a one-entry window and two in main.
+	c := newTestCache(t, Config{MaxBytes: 3 * blockSize, Seed: 1})
 	for _, id := range []model.BlockID{"hot", "hot2"} {
 		c.Get(id, 1)
 		if !c.Put(id, 1, make([]byte, blockSize)) {
@@ -143,7 +144,7 @@ func TestHitAndRejectedPutAllocateNoBlockBytes(t *testing.T) {
 }
 
 func TestVersionMismatchInvalidates(t *testing.T) {
-	c := newTestCache(t, Config{MaxBytes: 1 << 20, Shards: 1, Seed: 1})
+	c := newTestCache(t, Config{MaxBytes: 1 << 20, Seed: 1})
 	id := model.BlockID("moved-block")
 	c.Put(id, 1, []byte("old placement"))
 
@@ -163,7 +164,7 @@ func TestVersionMismatchInvalidates(t *testing.T) {
 
 func TestStaleIfError(t *testing.T) {
 	clk := newFakeClock()
-	c := newTestCache(t, Config{MaxBytes: 1 << 20, Shards: 1, Seed: 1, StaleTTL: time.Minute, Clock: clk.Now})
+	c := newTestCache(t, Config{MaxBytes: 1 << 20, Seed: 1, StaleTTL: time.Minute, Clock: clk.Now})
 	id := model.BlockID("degraded-block")
 	c.Put(id, 1, []byte("last good bytes"))
 
@@ -193,7 +194,7 @@ func TestStaleIfError(t *testing.T) {
 }
 
 func TestGetStaleDisabledByDefault(t *testing.T) {
-	c := newTestCache(t, Config{MaxBytes: 1 << 20, Shards: 1, Seed: 1})
+	c := newTestCache(t, Config{MaxBytes: 1 << 20, Seed: 1})
 	c.Put("b", 1, []byte("x"))
 	if _, _, ok := c.GetStale("b"); ok {
 		t.Fatal("GetStale served with StaleTTL=0")
@@ -205,7 +206,7 @@ func TestGetStaleDisabledByDefault(t *testing.T) {
 // and a strictly more frequent candidate evicts exactly that tail.
 func TestLRUEvictionOrder(t *testing.T) {
 	// 500 bytes: a one-entry window of 100-byte blocks and four in main.
-	c := newTestCache(t, Config{MaxBytes: 500, Shards: 1, Seed: 1})
+	c := newTestCache(t, Config{MaxBytes: 500, Seed: 1})
 	read := func(id model.BlockID) { readThrough(c, id, 100) }
 	for _, id := range []model.BlockID{"a", "b", "c", "d", "e"} {
 		read(id) // e stays in the window; main holds a..d, LRU tail a
@@ -241,7 +242,7 @@ func TestLRUEvictionOrder(t *testing.T) {
 // a hotter main resident.
 func TestAdmissionProtectsHotResidents(t *testing.T) {
 	// 300 bytes: a one-entry window of 100-byte blocks and two in main.
-	c := newTestCache(t, Config{MaxBytes: 300, Shards: 1, Seed: 1})
+	c := newTestCache(t, Config{MaxBytes: 300, Seed: 1})
 	data := make([]byte, 100)
 	// Make both residents hot: several sketch increments each.
 	for i := 0; i < 6; i++ {
@@ -277,7 +278,7 @@ func TestAdmissionProtectsHotResidents(t *testing.T) {
 // leaves the protected hot set resident.
 func TestScanResistance(t *testing.T) {
 	const block, capacity, hot = 100, 100, 40
-	c := newTestCache(t, Config{MaxBytes: capacity * block, Shards: 1, Seed: 1})
+	c := newTestCache(t, Config{MaxBytes: capacity * block, Seed: 1})
 	read := func(id model.BlockID) { readThrough(c, id, block) }
 	for round := 0; round < 4; round++ {
 		for i := 0; i < hot; i++ {
@@ -287,7 +288,7 @@ func TestScanResistance(t *testing.T) {
 		// round's hit promotes it like the rest.
 		read(model.BlockID(fmt.Sprintf("filler-%d", round)))
 	}
-	if got := c.shards[0].segs[protected].bytes; got != hot*block {
+	if got := c.segs[protected].bytes; got != hot*block {
 		t.Fatalf("protected holds %d bytes, want the %d-block hot set", got, hot)
 	}
 	for i := 0; i < 10*capacity; i++ {
@@ -302,42 +303,57 @@ func TestScanResistance(t *testing.T) {
 
 // TestYCSBEReplayHitRate replays the straggler-scan request stream (2000
 // YCSB-E keys of 100 KiB, scans of up to 8, Zipf 0.99) through Get and
-// PutSized against a 32 MiB, 16-shard cache. Plain LRU order with
-// admission against the LRU tail served 0.50 of these block reads.
+// PutSized against a 32 MiB cache. Plain LRU order with admission
+// against the LRU tail served 0.50 of these block reads, and W-TinyLFU
+// split into 16 independent shards 0.582, with 0.493 of requests served
+// without a miss. A scan served entirely from the cache touches no
+// site, so both rates are asserted.
 func TestYCSBEReplayHitRate(t *testing.T) {
 	const requests = 200_000
 	c := newTestCache(t, Config{MaxBytes: 32 << 20, Seed: 1})
 	y := workload.NewYCSBESeeded(2000, 8, 0.99, 1)
 	y.OnMeasureStart()
 	rng := rand.New(rand.NewSource(3))
+	allHit := 0
 	for i := 0; i < requests; i++ {
+		hits := true
 		for _, id := range y.NextRequest(rng) {
-			readThrough(c, id, 100<<10)
+			hits = readThrough(c, id, 100<<10) && hits
+		}
+		if hits {
+			allHit++
 		}
 	}
 	got := c.Stats().HitRatio()
-	t.Logf("hit rate %.4f", got)
-	if got < 0.55 {
-		t.Fatalf("hit rate = %.3f, want >= 0.55", got)
+	noMiss := float64(allHit) / requests
+	t.Logf("hit rate %.4f, requests without a miss %.4f", got, noMiss)
+	if got < 0.585 {
+		t.Fatalf("hit rate = %.4f, want >= 0.585", got)
+	}
+	if noMiss < 0.50 {
+		t.Fatalf("requests without a miss = %.4f, want >= 0.50", noMiss)
 	}
 }
 
 // readThrough reads version 1 of id as a client does: a Get, and on a
-// miss the Put of a size-byte block.
-func readThrough(c *Cache, id model.BlockID, size int64) {
-	if _, ok := c.Get(id, 1); !ok {
-		c.PutSized(id, 1, nil, size)
+// miss the Put of a size-byte block. It reports whether the Get hit.
+func readThrough(c *Cache, id model.BlockID, size int64) bool {
+	if _, ok := c.Get(id, 1); ok {
+		return true
 	}
+	c.PutSized(id, 1, nil, size)
+	return false
 }
 
 // TestRandomOpsKeepInvariants drives a seeded mix of every mutating call
 // with random versions, sizes (over-budget ones included) and a fake
-// clock, checking the shard accounting and Get's version contract after
-// every step.
+// clock, checking the policy's accounting, the occupancy gauges and
+// Get's version contract after every step.
 func TestRandomOpsKeepInvariants(t *testing.T) {
 	clk := newFakeClock()
 	const budget = 1000
-	c := newTestCache(t, Config{MaxBytes: 2 * budget, Shards: 2, Seed: 5, StaleTTL: time.Second, Clock: clk.Now})
+	reg := obs.NewRegistry()
+	c := newTestCache(t, Config{MaxBytes: budget, Seed: 5, StaleTTL: time.Second, Clock: clk.Now, Metrics: reg})
 	rng := rand.New(rand.NewSource(11))
 	payload := func(id model.BlockID, v uint64) string { return fmt.Sprintf("%s@%d", id, v) }
 	// live is the one version of each block a Get may hit: the last one
@@ -381,52 +397,89 @@ func TestRandomOpsKeepInvariants(t *testing.T) {
 			}
 		}
 		clk.Advance(time.Duration(rng.Intn(300)) * time.Millisecond)
-		checkShards(t, c, step)
+		checkPolicy(t, c, reg, step)
 	}
 }
 
-// checkShards verifies every shard's segment lists against its map and
-// byte counters and the budget.
-func checkShards(t *testing.T, c *Cache, step int) {
+// checkPolicy verifies the segment lists against the map, their byte
+// counters, the budget and the segment caps, and the occupancy gauges
+// against Stats.
+func checkPolicy(t *testing.T, c *Cache, reg *obs.Registry, step int) {
 	t.Helper()
-	entries := 0
-	for si, sh := range c.shards {
-		sh.mu.Lock()
-		var total int64
-		n := 0
-		for seg := range sh.segs {
-			var sum int64
-			for e := sh.segs[seg].head; e != nil; e = e.next {
-				if e.seg != segment(seg) || sh.byID[e.id] != e {
-					sh.mu.Unlock()
-					t.Fatalf("step %d shard %d: %s linked in segment %d but tagged %d or unmapped", step, si, e.id, seg, e.seg)
-				}
-				sum += e.size
-				n++
+	// The window and protected may overshoot their caps only with a
+	// single entry.
+	limit := map[segment]int64{window: c.windowBytes, protected: c.protectedBytes}
+	c.mu.Lock()
+	var total int64
+	n := 0
+	for seg := range c.segs {
+		var sum int64
+		entries := 0
+		for e := c.segs[seg].head; e != nil; e = e.next {
+			if e.seg != segment(seg) || c.byID[e.id] != e {
+				c.mu.Unlock()
+				t.Fatalf("step %d: %s linked in segment %d but tagged %d or unmapped", step, e.id, seg, e.seg)
 			}
-			if sum != sh.segs[seg].bytes {
-				sh.mu.Unlock()
-				t.Fatalf("step %d shard %d: segment %d counts %d bytes, entries sum to %d", step, si, seg, sh.segs[seg].bytes, sum)
-			}
-			total += sum
+			sum += e.size
+			entries++
 		}
-		bytes, mapped := sh.bytes(), len(sh.byID)
-		sh.mu.Unlock()
-		if total != bytes || n != mapped {
-			t.Fatalf("step %d shard %d: lists hold %d entries / %d bytes, shard %d / %d", step, si, n, total, mapped, bytes)
+		if sum != c.segs[seg].bytes {
+			c.mu.Unlock()
+			t.Fatalf("step %d: segment %d counts %d bytes, entries sum to %d", step, seg, c.segs[seg].bytes, sum)
 		}
-		if bytes > c.budgetPerShard {
-			t.Fatalf("step %d shard %d: %d bytes over the %d budget", step, si, bytes, c.budgetPerShard)
+		if most, ok := limit[segment(seg)]; ok && sum > most && entries > 1 {
+			c.mu.Unlock()
+			t.Fatalf("step %d: segment %d holds %d entries / %d bytes over its %d cap", step, seg, entries, sum, most)
 		}
-		entries += n
+		total += sum
+		n += entries
 	}
-	if got := c.Stats().Entries; got != entries {
-		t.Fatalf("step %d: Stats().Entries = %d, lists hold %d", step, got, entries)
+	bytes, mapped := c.bytes(), len(c.byID)
+	c.mu.Unlock()
+	if total != bytes || n != mapped {
+		t.Fatalf("step %d: lists hold %d entries / %d bytes, map and counters %d / %d", step, n, total, mapped, bytes)
+	}
+	if bytes > c.cfg.MaxBytes {
+		t.Fatalf("step %d: %d bytes over the %d budget", step, bytes, c.cfg.MaxBytes)
+	}
+	s := c.Stats()
+	if s.Entries != n || s.Bytes != bytes {
+		t.Fatalf("step %d: Stats() = %d entries / %d bytes, lists hold %d / %d", step, s.Entries, s.Bytes, n, bytes)
+	}
+	gauges := make(map[string]int64)
+	for _, g := range reg.Snapshot().Gauges {
+		gauges[g.Name] = g.Value
+	}
+	if gauges["cache_entries"] != int64(n) || gauges["cache_bytes"] != bytes {
+		t.Fatalf("step %d: gauges read %d entries / %d bytes, lists hold %d / %d", step, gauges["cache_entries"], gauges["cache_bytes"], n, bytes)
+	}
+}
+
+// TestBlockUpToBudgetIsCached: admission is bounded by the whole budget
+// alone, so a block far larger than a sixteenth of it displaces the
+// residents it needs to and is served.
+func TestBlockUpToBudgetIsCached(t *testing.T) {
+	const budget = 1 << 20
+	c := newTestCache(t, Config{MaxBytes: budget, Seed: 1})
+	for i := 0; i < 16; i++ {
+		readThrough(c, model.BlockID(fmt.Sprintf("small-%d", i)), 32<<10)
+	}
+	big := make([]byte, budget*3/4)
+	c.Get("big", 1)
+	if !c.Put("big", 1, big) {
+		t.Fatalf("a %d-byte block was refused under a %d-byte budget", len(big), budget)
+	}
+	got, ok := c.Get("big", 1)
+	if !ok || &got[0] != &big[0] {
+		t.Fatal("the large block was not served from the cache")
+	}
+	if s := c.Stats(); s.Bytes > budget {
+		t.Fatalf("stats = %+v, over budget", s)
 	}
 }
 
 func TestOversizedEntryRejected(t *testing.T) {
-	c := newTestCache(t, Config{MaxBytes: 100, Shards: 1, Seed: 1})
+	c := newTestCache(t, Config{MaxBytes: 100, Seed: 1})
 	if c.Put("huge", 1, make([]byte, 101)) {
 		t.Fatal("entry larger than the budget was admitted")
 	}
@@ -436,7 +489,7 @@ func TestOversizedEntryRejected(t *testing.T) {
 }
 
 func TestPutRefreshesInPlace(t *testing.T) {
-	c := newTestCache(t, Config{MaxBytes: 1 << 20, Shards: 1, Seed: 1})
+	c := newTestCache(t, Config{MaxBytes: 1 << 20, Seed: 1})
 	c.Put("b", 1, []byte("v1 bytes"))
 	c.Put("b", 2, []byte("v2 bytes"))
 	if _, ok := c.Get("b", 1); ok {
@@ -452,7 +505,7 @@ func TestPutRefreshesInPlace(t *testing.T) {
 }
 
 func TestInvalidate(t *testing.T) {
-	c := newTestCache(t, Config{MaxBytes: 1 << 20, Shards: 1, Seed: 1})
+	c := newTestCache(t, Config{MaxBytes: 1 << 20, Seed: 1})
 	c.Put("b", 7, []byte("x"))
 	c.Invalidate("b")
 	if _, ok := c.Get("b", 7); ok {
@@ -465,7 +518,7 @@ func TestInvalidate(t *testing.T) {
 }
 
 func TestPutSizedTracksBudgetWithoutPayload(t *testing.T) {
-	c := newTestCache(t, Config{MaxBytes: 250, Shards: 1, Seed: 1})
+	c := newTestCache(t, Config{MaxBytes: 250, Seed: 1})
 	if !c.PutSized("a", 1, nil, 100) || !c.PutSized("b", 1, nil, 100) {
 		t.Fatal("sized puts rejected under budget")
 	}
@@ -517,7 +570,7 @@ func TestDisabledByZeroBudget(t *testing.T) {
 
 func TestMetricsExported(t *testing.T) {
 	reg := obs.NewRegistry()
-	c := newTestCache(t, Config{MaxBytes: 1 << 20, Shards: 1, Seed: 1, Metrics: reg})
+	c := newTestCache(t, Config{MaxBytes: 1 << 20, Seed: 1, Metrics: reg})
 	c.Put("b", 1, []byte("payload"))
 	c.Get("b", 1)
 	c.Get("absent", 1)
@@ -547,7 +600,7 @@ func TestMetricsExported(t *testing.T) {
 
 func TestMaintenanceSweepsAndCloseStops(t *testing.T) {
 	clk := newFakeClock()
-	c := New(Config{MaxBytes: 1 << 20, Shards: 1, Seed: 1, StaleTTL: time.Millisecond, Clock: clk.Now})
+	c := New(Config{MaxBytes: 1 << 20, Seed: 1, StaleTTL: time.Millisecond, Clock: clk.Now})
 	c.Put("b", 1, []byte("x"))
 	c.Get("b", 2) // mark stale
 	clk.Advance(time.Hour)
@@ -675,24 +728,64 @@ func BenchmarkCacheGetHit(b *testing.B) {
 	}
 }
 
-// BenchmarkCacheMissPut times the miss path of a read: a Get that misses
-// and the Put of the decoded block, over a population 256 times what
-// the cache holds, so nearly every Put also runs window admission.
-func BenchmarkCacheMissPut(b *testing.B) {
-	const block = 4 << 10
-	c := New(Config{MaxBytes: 256 * block, Seed: 1})
+// BenchmarkCacheGetHitParallel times concurrent hits spread over 128
+// resident 100 KiB blocks, the contention every reader of one cache
+// shares.
+func BenchmarkCacheGetHitParallel(b *testing.B) {
+	const blocks = 128
+	c := New(Config{MaxBytes: 32 << 20, Seed: 1})
 	defer c.Close()
-	ids := make([]model.BlockID, 256*256)
+	ids := make([]model.BlockID, blocks)
 	for i := range ids {
 		ids[i] = model.BlockID(fmt.Sprintf("blk-%d", i))
+		c.Put(ids[i], 1, make([]byte, 100<<10))
 	}
-	data := make([]byte, block)
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		id := ids[i%len(ids)]
-		if _, ok := c.Get(id, 1); !ok {
-			c.Put(id, 1, data)
+	var worker atomic.Int64
+	b.RunParallel(func(pb *testing.PB) {
+		i := int(worker.Add(1)) * 37
+		var sink []byte
+		for pb.Next() {
+			data, ok := c.Get(ids[i%blocks], 1)
+			if !ok {
+				b.Error("miss")
+				return
+			}
+			sink = data
+			i++
 		}
+		_ = sink
+	})
+}
+
+// BenchmarkCacheMissPut times the miss path of a read: a Get that misses
+// and the Put of the decoded block, over a population 256 times what
+// the cache holds, so nearly every Put also runs window admission. The
+// metrics case attaches a registry, as the gateway and benchmark
+// clients do, so the occupancy gauges are kept current on every Put.
+func BenchmarkCacheMissPut(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		reg  *obs.Registry
+	}{{"bare", nil}, {"metrics", obs.NewRegistry()}} {
+		b.Run(bc.name, func(b *testing.B) {
+			const block = 4 << 10
+			c := New(Config{MaxBytes: 256 * block, Seed: 1, Metrics: bc.reg})
+			defer c.Close()
+			ids := make([]model.BlockID, 256*256)
+			for i := range ids {
+				ids[i] = model.BlockID(fmt.Sprintf("blk-%d", i))
+			}
+			data := make([]byte, block)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				id := ids[i%len(ids)]
+				if _, ok := c.Get(id, 1); !ok {
+					c.Put(id, 1, data)
+				}
+			}
+		})
 	}
 }

@@ -101,8 +101,8 @@ func (s *sketch) age() {
 	s.adds = 0
 }
 
-// hashID is FNV-1a over the block id, the shared hash for sketch slots
-// and shard selection.
+// hashID is FNV-1a over the block id, which the sketch's rows spread
+// into their slots.
 func hashID(id string) uint64 {
 	const (
 		offset64 = 14695981039346656037

@@ -75,7 +75,7 @@ func TestSketchDeterministicAcrossInstances(t *testing.T) {
 // TestReadCountsOnceInSketch: a read that misses and then fills the
 // cache is one access, recorded by Get alone.
 func TestReadCountsOnceInSketch(t *testing.T) {
-	c := New(Config{MaxBytes: 1 << 20, Shards: 1, Seed: 1})
+	c := New(Config{MaxBytes: 1 << 20, Seed: 1})
 	if _, ok := c.Get("b", 1); ok {
 		t.Fatal("hit on empty cache")
 	}

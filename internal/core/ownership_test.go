@@ -52,7 +52,7 @@ func settledOutstanding(t *testing.T) int64 {
 // window into it — no block-sized buffer is allocated for either.
 func TestCachedReadsShareTheResidentBlock(t *testing.T) {
 	cfg := cacheTestConfig()
-	cfg.CacheBytes = 4 << 20 // 16 shards: room for a 100 KB block in each
+	cfg.CacheBytes = 4 << 20 // room for the 100 KB block many times over
 	c := newTestCluster(t, ClusterConfig{Client: cfg})
 	data := blockData(100<<10, 5)
 	if err := c.Client.Put("blk", data); err != nil {

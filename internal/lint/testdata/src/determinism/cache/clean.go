@@ -14,7 +14,7 @@ type entry struct {
 	size    int64
 }
 
-// store is a miniature shard: keyed entries plus an injected clock.
+// store is a miniature cache: keyed entries plus an injected clock.
 type store struct {
 	byID  map[string]entry
 	clock func() time.Time
