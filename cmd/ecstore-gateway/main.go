@@ -1,5 +1,5 @@
 // Command ecstore-gateway runs the multi-tenant access daemon: one
-// pooled EC-Store client (planner, block cache, breakers, hedging)
+// pooled EC-Store client (planner, block cache, breakers, late binding)
 // multiplexed across tenants behind per-tenant token-bucket rate limits,
 // byte quotas and bounded-queue admission control (DESIGN.md §15).
 //
@@ -34,7 +34,6 @@ import (
 
 	"ecstore/internal/core"
 	"ecstore/internal/gateway"
-	"ecstore/internal/health"
 	"ecstore/internal/metadata"
 	"ecstore/internal/model"
 	"ecstore/internal/obs"
@@ -64,7 +63,6 @@ func run(args []string) error {
 	delta := fs.Int("delta", 0, "late-binding surplus chunk requests")
 	cacheBytes := fs.Int64("cache-bytes", 0, "decoded-block cache budget in bytes (0 disables the cache)")
 	stripeUnit := fs.Int64("stripe-unit", 0, "stripe unit in bytes for streamed puts (0 = 64 KiB default)")
-	hedgeDelay := fs.Duration("hedge-delay", 0, "hedge straggling chunk fetches after this delay (0 = off)")
 	concurrency := fs.Int("concurrency", 0, "requests proxied concurrently (0 = 64)")
 	queueDepth := fs.Int("queue-depth", 0, "admission queue bound (0 = 2x concurrency)")
 	tenantsSpec := fs.String("tenants", "", "tenant contracts name:rate:burst:quota, comma-separated")
@@ -123,27 +121,13 @@ func run(args []string) error {
 		sites[model.SiteID(i+1)] = storage.NewRPCClient(rc)
 	}
 
-	// One shared pressure signal couples the admission queue to the
-	// client's hedging policy: under access-tier overload extra chunk
-	// fetches only deepen the queues they are meant to dodge.
-	qd := *queueDepth
-	if qd <= 0 {
-		c := *concurrency
-		if c <= 0 {
-			c = 64
-		}
-		qd = 2 * c
-	}
-	pressure := health.NewPressure(qd)
-
 	client, err := core.NewClient(core.Config{
 		K:          *k,
 		R:          *r,
 		Delta:      *delta,
 		CacheBytes: *cacheBytes,
 		StripeUnit: *stripeUnit,
-		HedgeDelay: *hedgeDelay,
-	}, core.Deps{Meta: meta, Sites: sites, Metrics: reg, Tracer: tracer, Pressure: pressure})
+	}, core.Deps{Meta: meta, Sites: sites, Metrics: reg, Tracer: tracer})
 	if err != nil {
 		return err
 	}
@@ -179,7 +163,6 @@ func run(args []string) error {
 		Concurrency:   *concurrency,
 		QueueDepth:    *queueDepth,
 		Metrics:       reg,
-		Pressure:      pressure,
 	}, client)
 
 	if *metricsAddr != "" {

@@ -221,8 +221,9 @@ func New(cfg Config) *Cache {
 		stop:           make(chan struct{}),
 		done:           make(chan struct{}),
 	}
-	// Size the sketch for the plausible entry population assuming 4 KiB
-	// blocks as a floor; oversizing only costs a few KiB.
+	// Size the sketch's rows for the entry population of 4 KiB blocks
+	// (wide rows only cost a few KiB); its aging period follows the
+	// entries actually resident (sketch.period).
 	est := int(cfg.MaxBytes / 4096)
 	if est < 256 {
 		est = 256
@@ -255,7 +256,7 @@ func (c *Cache) Get(id model.BlockID, version uint64) ([]byte, bool) {
 	h := hashID(string(id))
 	now := c.cfg.Clock()
 	c.mu.Lock()
-	c.sketch.add(h)
+	c.sketch.add(h, len(c.byID))
 	e, ok := c.byID[id]
 	if ok && e.version == version && !e.stale {
 		c.hitLocked(e)

@@ -306,8 +306,10 @@ func TestScanResistance(t *testing.T) {
 // PutSized against a 32 MiB cache. Plain LRU order with admission
 // against the LRU tail served 0.50 of these block reads, and W-TinyLFU
 // split into 16 independent shards 0.582, with 0.493 of requests served
-// without a miss. A scan served entirely from the cache touches no
-// site, so both rates are asserted.
+// without a miss; one policy over the whole budget with a sketch aged
+// every 8 x width adds served 0.5896 and 0.5094, and aging it after 32
+// adds per resident entry serves 0.5979 and 0.5189. A scan served
+// entirely from the cache touches no site, so both rates are asserted.
 func TestYCSBEReplayHitRate(t *testing.T) {
 	const requests = 200_000
 	c := newTestCache(t, Config{MaxBytes: 32 << 20, Seed: 1})
@@ -327,11 +329,11 @@ func TestYCSBEReplayHitRate(t *testing.T) {
 	got := c.Stats().HitRatio()
 	noMiss := float64(allHit) / requests
 	t.Logf("hit rate %.4f, requests without a miss %.4f", got, noMiss)
-	if got < 0.585 {
-		t.Fatalf("hit rate = %.4f, want >= 0.585", got)
+	if got < 0.595 {
+		t.Fatalf("hit rate = %.4f, want >= 0.595", got)
 	}
-	if noMiss < 0.50 {
-		t.Fatalf("requests without a miss = %.4f, want >= 0.50", noMiss)
+	if noMiss < 0.515 {
+		t.Fatalf("requests without a miss = %.4f, want >= 0.515", noMiss)
 	}
 }
 

@@ -15,10 +15,9 @@ type sketch struct {
 	rows  [sketchDepth][]uint8
 	seeds [sketchDepth]uint64
 	mask  uint64
-	// adds counts Add calls since the last aging pass; when it reaches
-	// sampleCap every counter is halved.
-	adds      int
-	sampleCap int
+	// adds counts add calls since the last aging pass; when it reaches
+	// period every counter is halved.
+	adds int
 }
 
 const (
@@ -27,6 +26,11 @@ const (
 	// frequency ranks, and a low cap makes aging cheap and keeps
 	// recently-hot entries from dominating forever.
 	counterCap = 15
+	// agePerEntry sets the aging period: the sketch is halved after
+	// agePerEntry adds per resident cache entry (never fewer than its
+	// width), so the history it remembers follows the population the
+	// admission test ranks rather than a guess at the block size.
+	agePerEntry = 32
 )
 
 // newSketch sizes the sketch for roughly the given number of tracked
@@ -36,10 +40,7 @@ func newSketch(entries int, seed int64) *sketch {
 	for width < entries {
 		width *= 2
 	}
-	s := &sketch{
-		mask:      uint64(width - 1),
-		sampleCap: width * 8,
-	}
+	s := &sketch{mask: uint64(width - 1)}
 	x := uint64(seed) ^ 0x9e3779b97f4a7c15
 	for i := range s.rows {
 		s.rows[i] = make([]uint8, width)
@@ -63,8 +64,9 @@ func (s *sketch) slot(i int, h uint64) uint64 {
 	return (h * s.seeds[i]) >> 17 & s.mask
 }
 
-// add records one access of the block with hash h.
-func (s *sketch) add(h uint64) {
+// add records one access of the block with hash h; resident is how many
+// entries the cache holds, which sets the aging period.
+func (s *sketch) add(h uint64, resident int) {
 	for i := range s.rows {
 		c := &s.rows[i][s.slot(i, h)]
 		if *c < counterCap {
@@ -72,9 +74,15 @@ func (s *sketch) add(h uint64) {
 		}
 	}
 	s.adds++
-	if s.adds >= s.sampleCap {
+	if s.adds >= s.period(resident) {
 		s.age()
 	}
+}
+
+// period is how many adds pass between agings while the cache holds
+// resident entries.
+func (s *sketch) period(resident int) int {
+	return max(agePerEntry*resident, len(s.rows[0]))
 }
 
 // estimate returns the minimum counter across rows — the usual

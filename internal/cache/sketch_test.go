@@ -9,13 +9,13 @@ func TestSketchCountsAndCaps(t *testing.T) {
 		t.Fatalf("fresh estimate = %d, want 0", got)
 	}
 	for i := 0; i < 5; i++ {
-		s.add(h)
+		s.add(h, 0)
 	}
 	if got := s.estimate(h); got < 5 {
 		t.Fatalf("estimate = %d, want >= 5 (count-min never undercounts)", got)
 	}
 	for i := 0; i < 100; i++ {
-		s.add(h)
+		s.add(h, 0)
 	}
 	if got := s.estimate(h); got > counterCap {
 		t.Fatalf("estimate = %d exceeds cap %d", got, counterCap)
@@ -26,7 +26,7 @@ func TestSketchAgingHalves(t *testing.T) {
 	s := newSketch(64, 7)
 	h := hashID("hot")
 	for i := 0; i < 8; i++ {
-		s.add(h)
+		s.add(h, 0)
 	}
 	before := s.estimate(h)
 	s.age()
@@ -37,16 +37,44 @@ func TestSketchAgingHalves(t *testing.T) {
 }
 
 func TestSketchAgesAutomatically(t *testing.T) {
-	s := newSketch(1, 3) // width 64, sampleCap 512
+	s := newSketch(1, 3) // width 64: an empty cache ages every 64 adds
 	h := hashID("x")
-	for i := 0; i < s.sampleCap; i++ {
-		s.add(h)
+	for i := 0; i < 64; i++ {
+		s.add(h, 0)
 	}
 	if s.adds != 0 {
-		t.Fatalf("adds = %d after hitting sampleCap, want 0 (aged)", s.adds)
+		t.Fatalf("adds = %d after a full period, want 0 (aged)", s.adds)
 	}
 	if got := s.estimate(h); got >= counterCap {
 		t.Fatalf("estimate = %d, want halved below cap", got)
+	}
+}
+
+// TestSketchAgingPeriodTracksPopulation: the aging period is agePerEntry
+// adds per resident entry, floored at the sketch's width, whatever the
+// width the cache's byte budget chose.
+func TestSketchAgingPeriodTracksPopulation(t *testing.T) {
+	s := newSketch(8192, 5) // a 32 MiB cache's width
+	for _, tc := range []struct{ resident, want int }{
+		{0, 8192}, {100, 8192}, {327, 327 * agePerEntry}, {5000, 5000 * agePerEntry},
+	} {
+		if got := s.period(tc.resident); got != tc.want {
+			t.Errorf("period(%d) = %d, want %d", tc.resident, got, tc.want)
+		}
+	}
+	// The period is read at every add, so it follows the population as
+	// the cache fills: 1000 resident entries age after 32,000 adds, not
+	// after the 8 x width = 65,536 a block-size guess would give.
+	h := hashID("hot")
+	for i := 1; i < 1000*agePerEntry; i++ {
+		s.add(h, 1000)
+	}
+	if s.adds != 1000*agePerEntry-1 {
+		t.Fatalf("aged early: adds = %d", s.adds)
+	}
+	s.add(h, 1000)
+	if s.adds != 0 {
+		t.Fatalf("adds = %d after %d adds with 1000 entries resident, want 0 (aged)", s.adds, 1000*agePerEntry)
 	}
 }
 
@@ -55,8 +83,8 @@ func TestSketchDeterministicAcrossInstances(t *testing.T) {
 	ids := []string{"a", "b", "c", "block-0001", "block-0002"}
 	for i, id := range ids {
 		for j := 0; j <= i; j++ {
-			a.add(hashID(id))
-			b.add(hashID(id))
+			a.add(hashID(id), 0)
+			b.add(hashID(id), 0)
 		}
 	}
 	for _, id := range ids {

@@ -6,10 +6,10 @@
 //
 // The client is hardened for partial failure: every site operation runs
 // under a context with optional per-chunk and per-request deadlines,
-// transient errors are retried with jittered exponential backoff, slow
-// planned reads are hedged with a not-yet-planned chunk from the
-// next-cheapest site, and per-site circuit breakers (package health) keep
-// unhealthy sites out of fresh access plans until they recover.
+// transient errors are retried with jittered exponential backoff, late
+// binding (Delta) is the one answer to slow sites, and per-site circuit
+// breakers (package health) keep unhealthy sites out of fresh access
+// plans until they recover.
 package core
 
 import (
@@ -101,14 +101,6 @@ type Config struct {
 	ChunkTimeout time.Duration
 	// Retry tunes per-chunk and per-probe retransmission.
 	Retry RetryPolicy
-	// HedgeDelay, when positive, hedges planned chunk reads that have
-	// not satisfied their block after this fixed delay.
-	HedgeDelay time.Duration
-	// PutFanout bounds how many chunk stores one Put issues concurrently,
-	// so a burst of writes cannot spawn an unbounded goroutine swarm
-	// (k+r goroutines per in-flight Put). Zero means min(k+r, 8);
-	// negative means fully parallel (the historical behaviour).
-	PutFanout int
 
 	// CacheBytes enables the decoded-block cache tier with this byte
 	// budget: hot blocks are kept fully decoded and served without any
@@ -129,10 +121,6 @@ type Config struct {
 	// per range; larger units amortize per-stripe overhead. Zero means
 	// 64 KiB.
 	StripeUnit int64
-	// StreamDepth bounds how many encoded stripes one PutReader keeps in
-	// flight: stripe N is encoded while up to StreamDepth earlier
-	// stripes' chunk writes drain. Zero means 2; 1 disables pipelining.
-	StreamDepth int
 	// PackThreshold, when positive, stages erasure-coded Puts of at most
 	// this many bytes into a shared pack container instead of encoding
 	// each tiny block alone (which would pad every chunk). Staged blocks
@@ -164,14 +152,8 @@ func (c Config) withDefaults() Config {
 	if c.DefaultM == 0 {
 		c.DefaultM = 1.0 / (100 * 1024) // m_j=1 per 100 KB chunk at o_j=5
 	}
-	if c.PutFanout == 0 {
-		c.PutFanout = 8
-	}
 	if c.StripeUnit <= 0 {
 		c.StripeUnit = 64 << 10
-	}
-	if c.StreamDepth <= 0 {
-		c.StreamDepth = 2
 	}
 	if c.PackCapacity <= 0 {
 		c.PackCapacity = 1 << 20
@@ -182,6 +164,16 @@ func (c Config) withDefaults() Config {
 
 // probeTimeout bounds each liveness probe.
 const probeTimeout = 2 * time.Second
+
+// putFanout bounds how many chunk stores one Put (or one streamed
+// stripe) issues concurrently, so a burst of writes cannot spawn an
+// unbounded goroutine swarm while one slow site backs writes up.
+const putFanout = 8
+
+// streamDepth bounds how many encoded stripes one PutReader keeps in
+// flight: stripe N is encoded while up to streamDepth earlier stripes'
+// chunk writes drain.
+const streamDepth = 2
 
 // Client is the EC-Store client service: the component applications link
 // against. It owns the erasure codec, the access planner (exact solver with
@@ -207,10 +199,9 @@ type Client struct {
 	// packing is disabled (cfg.PackThreshold == 0).
 	packer *packer
 
-	obs      clientObs
-	tracer   *obs.Tracer
-	health   *health.Tracker
-	pressure *health.Pressure // nil unless an access tier feeds one
+	obs    clientObs
+	tracer *obs.Tracer
+	health *health.Tracker
 
 	retry *retrier
 	probe *prober
@@ -219,20 +210,16 @@ type Client struct {
 // clientObs is the client's instrument set; every field is nil-safe so an
 // unconfigured client pays no instrumentation cost.
 type clientObs struct {
-	requests         *obs.Counter
-	puts             *obs.Counter
-	deletes          *obs.Counter
-	blocks           *obs.Counter
-	chunksFetched    *obs.Counter
-	fetchErrors      *obs.Counter
-	lateDiscarded    *obs.Counter
-	replans          *obs.Counter
-	hedges           *obs.Counter
-	hedgesWon        *obs.Counter
-	hedgesLost       *obs.Counter
-	hedgesSuppressed *obs.Counter
-	deadlines        *obs.Counter
-	putCleanups      *obs.Counter
+	requests      *obs.Counter
+	puts          *obs.Counter
+	deletes       *obs.Counter
+	blocks        *obs.Counter
+	chunksFetched *obs.Counter
+	fetchErrors   *obs.Counter
+	lateDiscarded *obs.Counter
+	replans       *obs.Counter
+	deadlines     *obs.Counter
+	putCleanups   *obs.Counter
 
 	streamPuts    *obs.Counter
 	streamStripes *obs.Counter
@@ -258,36 +245,32 @@ func newClientObs(reg *obs.Registry) clientObs {
 		return clientObs{}
 	}
 	return clientObs{
-		requests:         reg.Counter("client_requests_total", "multi-block read requests"),
-		puts:             reg.Counter("client_puts_total", "blocks written"),
-		deletes:          reg.Counter("client_deletes_total", "blocks deleted"),
-		blocks:           reg.Counter("client_blocks_total", "blocks requested across all reads"),
-		chunksFetched:    reg.Counter("client_chunks_fetched_total", "chunk reads that returned data"),
-		fetchErrors:      reg.Counter("client_fetch_errors_total", "chunk reads that failed"),
-		lateDiscarded:    reg.Counter("client_late_binding_discarded_total", "surplus chunk responses discarded by late binding"),
-		replans:          reg.Counter("client_replans_total", "re-planning rounds after mid-read site failures"),
-		hedges:           reg.Counter("client_hedged_reads_total", "extra chunk reads issued for slow blocks"),
-		hedgesWon:        reg.Counter("client_hedges_won_total", "hedged reads whose chunk was used"),
-		hedgesLost:       reg.Counter("client_hedges_lost_total", "hedged reads that arrived too late, failed or were discarded"),
-		hedgesSuppressed: reg.Counter("client_hedges_suppressed_total", "hedge opportunities skipped because the access tier reported overload"),
-		deadlines:        reg.Counter("client_deadline_expirations_total", "requests abandoned because their deadline expired"),
-		putCleanups:      reg.Counter("client_put_cleanups_total", "aborted writes whose stored chunks were rolled back"),
-		streamPuts:       reg.Counter("stream_puts_total", "blocks written through the streaming pipeline (PutReader)"),
-		streamStripes:    reg.Counter("stream_stripes_total", "stripes encoded and shipped by streaming writes"),
-		streamBytes:      reg.Counter("stream_bytes_total", "payload bytes ingested by streaming writes"),
-		rangeReads:       reg.Counter("range_requests_total", "byte-range read requests (GetRange)"),
-		rangeBytes:       reg.Counter("range_bytes_total", "payload bytes served by range reads"),
-		rangeStripes:     reg.Counter("range_stripes_decoded_total", "stripes decoded to serve range reads"),
-		rangeCacheHit:    reg.Counter("range_cache_hits_total", "range reads served from cached decoded blocks"),
-		packStaged:       reg.Counter("pack_staged_total", "small blocks staged into pack containers"),
-		packSealed:       reg.Counter("pack_sealed_total", "pack containers sealed and registered"),
-		packBlocks:       reg.Counter("pack_packed_blocks_total", "small blocks sealed inside pack containers"),
-		packBytes:        reg.Counter("pack_bytes_total", "payload bytes staged for packing"),
-		metadataH:        reg.Histogram("client_metadata_seconds", "read phase R1: metadata lookup latency"),
-		planH:            reg.Histogram("client_plan_seconds", "read phase R2: access planning latency"),
-		fetchH:           reg.Histogram("client_fetch_seconds", "read phase R3a: parallel chunk retrieval latency"),
-		decodeH:          reg.Histogram("client_decode_seconds", "read phase R3b: erasure decode latency"),
-		requestH:         reg.Histogram("client_request_seconds", "end-to-end multi-block read latency"),
+		requests:      reg.Counter("client_requests_total", "multi-block read requests"),
+		puts:          reg.Counter("client_puts_total", "blocks written"),
+		deletes:       reg.Counter("client_deletes_total", "blocks deleted"),
+		blocks:        reg.Counter("client_blocks_total", "blocks requested across all reads"),
+		chunksFetched: reg.Counter("client_chunks_fetched_total", "chunk reads that returned data"),
+		fetchErrors:   reg.Counter("client_fetch_errors_total", "chunk reads that failed"),
+		lateDiscarded: reg.Counter("client_late_binding_discarded_total", "surplus chunk responses discarded by late binding"),
+		replans:       reg.Counter("client_replans_total", "re-planning rounds after mid-read site failures"),
+		deadlines:     reg.Counter("client_deadline_expirations_total", "requests abandoned because their deadline expired"),
+		putCleanups:   reg.Counter("client_put_cleanups_total", "aborted writes whose stored chunks were rolled back"),
+		streamPuts:    reg.Counter("stream_puts_total", "blocks written through the streaming pipeline (PutReader)"),
+		streamStripes: reg.Counter("stream_stripes_total", "stripes encoded and shipped by streaming writes"),
+		streamBytes:   reg.Counter("stream_bytes_total", "payload bytes ingested by streaming writes"),
+		rangeReads:    reg.Counter("range_requests_total", "byte-range read requests (GetRange)"),
+		rangeBytes:    reg.Counter("range_bytes_total", "payload bytes served by range reads"),
+		rangeStripes:  reg.Counter("range_stripes_decoded_total", "stripes decoded to serve range reads"),
+		rangeCacheHit: reg.Counter("range_cache_hits_total", "range reads served from cached decoded blocks"),
+		packStaged:    reg.Counter("pack_staged_total", "small blocks staged into pack containers"),
+		packSealed:    reg.Counter("pack_sealed_total", "pack containers sealed and registered"),
+		packBlocks:    reg.Counter("pack_packed_blocks_total", "small blocks sealed inside pack containers"),
+		packBytes:     reg.Counter("pack_bytes_total", "payload bytes staged for packing"),
+		metadataH:     reg.Histogram("client_metadata_seconds", "read phase R1: metadata lookup latency"),
+		planH:         reg.Histogram("client_plan_seconds", "read phase R2: access planning latency"),
+		fetchH:        reg.Histogram("client_fetch_seconds", "read phase R3a: parallel chunk retrieval latency"),
+		decodeH:       reg.Histogram("client_decode_seconds", "read phase R3b: erasure decode latency"),
+		requestH:      reg.Histogram("client_request_seconds", "end-to-end multi-block read latency"),
 	}
 }
 
@@ -329,11 +312,8 @@ type Deps struct {
 	// model.MaxChunksPerZone(R) so one zone outage stays within the
 	// erasure margin. Nil places on all connected sites, zone-blind.
 	Zones func() map[model.SiteID]model.SiteInfo
-	// Pressure optionally feeds access-tier load (the gateway's
-	// admission-queue depth) into the read path: while it reports
-	// overload, hedged reads are suppressed — duplicate speculative
-	// work is the wrong response to a system that is already queueing.
-	// Nil disables the coupling.
+	// Pressure is ignored. It exists only because benchmark/rig.go
+	// still sets it; delete it at the next change to the benchmark.
 	Pressure *health.Pressure
 	// Metrics optionally exports client instrumentation (request counts,
 	// per-phase latency histograms, late-binding waste, planner
@@ -408,7 +388,6 @@ func NewClient(cfg Config, deps Deps) (*Client, error) {
 		obs:      newClientObs(deps.Metrics),
 		tracer:   deps.Tracer,
 		health:   tracker,
-		pressure: deps.Pressure,
 		retry:    newRetrier(cfg, deps.Metrics),
 	}
 	cl.probe = &prober{cfg: cfg, sites: deps.Sites, health: tracker, retry: cl.retry, observe: probes.Observe}
@@ -538,37 +517,9 @@ func (c *Client) PutContext(ctx context.Context, id model.BlockID, data []byte) 
 		chunkSize = int64(len(chunks[0]))
 	}
 
-	// Store chunks with bounded fan-out: at most cfg.PutFanout workers
-	// drain the chunk list, so concurrent Puts cannot multiply into an
-	// unbounded goroutine swarm while one slow site backs writes up.
-	errs := make([]error, len(chunks))
-	workers := c.cfg.PutFanout
-	if workers < 0 || workers > len(chunks) {
-		workers = len(chunks)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(chunks) {
-					return
-				}
-				site := c.sites[chosen[i]]
-				if site == nil {
-					errs[i] = fmt.Errorf("%w: site %d", ErrNoSites, chosen[i])
-					continue
-				}
-				cctx, ccancel := c.chunkCtx(ctx)
-				errs[i] = site.PutChunk(cctx, model.ChunkRef{Block: id, Chunk: i}, chunks[i])
-				ccancel()
-			}
-		}()
-	}
-	wg.Wait()
+	errs := c.storeChunks(ctx, id, chosen, func(ctx context.Context, site storage.SiteAPI, ref model.ChunkRef) error {
+		return site.PutChunk(ctx, ref, chunks[ref.Chunk])
+	})
 	// Every site has ingested (or failed) its chunk; recycle the pooled
 	// stripe before the slower metadata and rollback steps.
 	if stripe != nil {
@@ -604,6 +555,39 @@ func (c *Client) PutContext(ctx context.Context, id model.BlockID, data []byte) 
 	c.cache.Invalidate(id)
 	c.obs.puts.Inc()
 	return nil
+}
+
+// storeChunks runs store for chunk i of block id on site chosen[i], for
+// every i, each under the per-chunk deadline. At most putFanout workers
+// drain the chunk list, so concurrent writes cannot multiply into an
+// unbounded goroutine swarm while one slow site backs them up. errs[i]
+// is chunk i's outcome.
+func (c *Client) storeChunks(ctx context.Context, id model.BlockID, chosen []model.SiteID, store func(ctx context.Context, site storage.SiteAPI, ref model.ChunkRef) error) []error {
+	errs := make([]error, len(chosen))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(putFanout, len(chosen)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(chosen) {
+					return
+				}
+				site := c.sites[chosen[i]]
+				if site == nil {
+					errs[i] = fmt.Errorf("%w: site %d", ErrNoSites, chosen[i])
+					continue
+				}
+				cctx, cancel := c.chunkCtx(ctx)
+				errs[i] = store(cctx, site, model.ChunkRef{Block: id, Chunk: i})
+				cancel()
+			}
+		}()
+	}
+	wg.Wait()
+	return errs
 }
 
 // cleanupChunks best-effort deletes the chunks an aborted Put already

@@ -60,9 +60,6 @@ type ClusterConfig struct {
 	// enables per-request tracing. Nil disables observability at zero
 	// cost on the hot path.
 	Metrics *obs.Registry
-	// Pressure optionally couples the client's hedging policy to an
-	// access tier (see Deps.Pressure). Nil disables it.
-	Pressure *health.Pressure
 }
 
 // Cluster is a fully wired in-process EC-Store instance: every paper
@@ -126,7 +123,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		CoAccess: ctl.CoAccess,
 		Probes:   ctl.Probes,
 		Health:   ctl.Health,
-		Pressure: cfg.Pressure,
 		Metrics:  cfg.Metrics,
 		Tracer:   tracer,
 		Zones:    catalog.SiteInfos,

@@ -25,7 +25,7 @@ import (
 // back.
 
 // settledOutstanding waits for in-flight work that still holds pool
-// buffers (late-binding surplus reads, hedges, an rpc server finishing a
+// buffers (late-binding surplus reads, an rpc server finishing a
 // response) to drain, and returns the count of unreleased buffers once
 // it has stopped moving.
 func settledOutstanding(t *testing.T) int64 {
@@ -89,11 +89,10 @@ func TestCachedReadsShareTheResidentBlock(t *testing.T) {
 }
 
 // TestReadPathReleasesEveryChunkOnce reads uncached blocks with late
-// binding (k+1 chunks fetched, k used) and with hedging (an extra read
-// that loses the race), in process and over the in-memory transport, and
-// checks the pool's books balance afterwards: planned chunks, the
-// surplus chunk that lands after the request was answered, the hedge
-// loser, the decode window, rpc request and response frames were each
+// binding (k+1 chunks fetched, k used), in process and over the
+// in-memory transport, and checks the pool's books balance afterwards:
+// planned chunks, the surplus chunk that lands after the request was
+// answered, the decode window, rpc request and response frames were each
 // released exactly once — a second release would have panicked, a
 // missing one leaves the count high.
 func TestReadPathReleasesEveryChunkOnce(t *testing.T) {
@@ -104,7 +103,6 @@ func TestReadPathReleasesEveryChunkOnce(t *testing.T) {
 	}{
 		{"late-binding/in-process", Config{Delta: 1, Seed: 3}, "local"},
 		{"late-binding/rpc", Config{Delta: 1, Seed: 3}, "rpc"},
-		{"hedged/in-process", Config{HedgeDelay: time.Millisecond, Seed: 3}, "local"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -115,11 +113,7 @@ func TestReadPathReleasesEveryChunkOnce(t *testing.T) {
 				defer d.Close()
 				client = d.client
 			} else {
-				cc := ClusterConfig{Client: tc.cfg, Metrics: reg}
-				if tc.cfg.HedgeDelay > 0 {
-					cc.ReadDelayFixed = 5 * time.Millisecond // every read outlives the hedge delay
-				}
-				client = newTestCluster(t, cc).Client
+				client = newTestCluster(t, ClusterConfig{Client: tc.cfg, Metrics: reg}).Client
 			}
 			whole := blockData(100<<10, 7)
 			striped := blockData(300<<10, 9)
@@ -152,16 +146,11 @@ func TestReadPathReleasesEveryChunkOnce(t *testing.T) {
 			if tc.rig != "local" {
 				return
 			}
+			// 5 rounds x (2 blocks + 1 range) x (k+delta = 3) chunk reads:
+			// a range is planned and late-bound like a whole block.
 			snap := reg.Snapshot()
-			if tc.cfg.Delta > 0 {
-				// 5 rounds x (2 blocks + 1 range) x (k+delta = 3) chunk reads:
-				// a range is planned and late-bound like a whole block.
-				if got := snap.CounterValue("client_chunks_fetched_total", "") + snap.CounterValue("client_late_binding_discarded_total", ""); got != 5*3*3 {
-					t.Fatalf("fetched+discarded = %d chunk reads, want %d: late binding did not fetch its surplus", got, 5*3*3)
-				}
-			}
-			if tc.cfg.HedgeDelay > 0 && snap.CounterValue("client_hedged_reads_total", "") == 0 {
-				t.Fatal("no hedge was launched; the loser path never ran")
+			if got := snap.CounterValue("client_chunks_fetched_total", "") + snap.CounterValue("client_late_binding_discarded_total", ""); got != 5*3*3 {
+				t.Fatalf("fetched+discarded = %d chunk reads, want %d: late binding did not fetch its surplus", got, 5*3*3)
 			}
 		})
 	}

@@ -61,11 +61,12 @@ func (g *gatedSite) PutChunk(ctx context.Context, ref model.ChunkRef, data []byt
 }
 
 // TestPutFanoutBounded is the goroutine regression test for the write
-// path: a Put of k+r=9 chunks with PutFanout=2 must issue at most 2
-// concurrent chunk stores and spawn a bounded number of goroutines —
-// the historical path spawned one goroutine per chunk unconditionally.
+// path: a Put of k+r=9 chunks must issue at most putFanout=8 concurrent
+// chunk stores, so the 9th store waits for a worker, and spawn a bounded
+// number of goroutines — the historical path spawned one goroutine per
+// chunk unconditionally.
 func TestPutFanoutBounded(t *testing.T) {
-	const fanout = 2
+	const fanout = putFanout
 	siteIDs := make([]model.SiteID, 12)
 	sites := make(map[model.SiteID]storage.SiteAPI, len(siteIDs))
 	arrive := make(chan struct{}, 32)
@@ -79,7 +80,6 @@ func TestPutFanoutBounded(t *testing.T) {
 	}
 	client, err := NewClient(Config{
 		K: 6, R: 3,
-		PutFanout: fanout,
 	}, Deps{
 		Meta:  metadata.NewCatalog(siteIDs),
 		Sites: sites,
@@ -93,7 +93,7 @@ func TestPutFanoutBounded(t *testing.T) {
 	putDone := make(chan error, 1)
 	go func() { putDone <- client.Put("blk", blockData(4096, 5)) }()
 
-	// Exactly fanout stores should reach the gate; a third arrival
+	// Exactly fanout stores should reach the gate; the 9th arriving
 	// within the grace window means the bound is broken.
 	for i := 0; i < fanout; i++ {
 		select {
@@ -104,12 +104,12 @@ func TestPutFanoutBounded(t *testing.T) {
 	}
 	select {
 	case <-arrive:
-		t.Fatal("more than PutFanout chunk stores ran concurrently")
+		t.Fatal("more than putFanout chunk stores ran concurrently")
 	case <-time.After(100 * time.Millisecond):
 	}
-	// One Put goroutine plus fanout workers, with slack for runtime
-	// bookkeeping; the unbounded path would add k+r+1 = 10 goroutines.
-	if n := runtime.NumGoroutine(); n > base+fanout+3 {
+	// One Put goroutine plus fanout workers; the unbounded path would
+	// add k+r+1 = 10 goroutines.
+	if n := runtime.NumGoroutine(); n > base+fanout+1 {
 		t.Fatalf("goroutines grew from %d to %d during Put; fan-out not bounded", base, n)
 	}
 

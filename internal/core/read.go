@@ -292,8 +292,8 @@ func (c *Client) GetMultiContext(ctx context.Context, ids []model.BlockID) (map[
 // assembling the whole block. It is the read GetMulti performs with a
 // narrower window: the range is mapped to the per-chunk window of
 // stripes it touches (erasure.Layout.Window), that window of k+Delta
-// chunks is planned under the cost model and fetched with late binding,
-// hedging and replanning, and the decoded window is gathered into the
+// chunks is planned under the cost model and fetched with late binding
+// and replanning, and the decoded window is gathered into the
 // requested bytes. For a striped block a small range therefore reads and
 // decodes a small fraction of its stripes; for a contiguous block a
 // range inside one data chunk stays tight and a chunk-crossing range
@@ -512,8 +512,8 @@ func (c *Client) fetchBlocks(ctx context.Context, s readSet, tr *obs.Trace, bd *
 	t3 := time.Now()
 	sp = tr.StartSpan("decode")
 	// The chunk buffers have served their one hop once the blocks are
-	// decoded out of them (or decoding failed): planned, surplus and
-	// hedge chunks alike go back to the pool.
+	// decoded out of them (or decoding failed): planned and surplus
+	// chunks alike go back to the pool.
 	defer releaseChunks(chunks)
 	out := make(map[model.BlockID][]byte, len(s.metas))
 	for id := range s.metas {
@@ -540,17 +540,16 @@ func (c *Client) blockUnreadable(meta *model.BlockMeta) bool {
 // fetchResult carries one chunk retrieval outcome. data is a bufpool
 // buffer owned by whoever holds the result.
 type fetchResult struct {
-	ref   model.ChunkRef
-	site  model.SiteID
-	data  []byte
-	err   error
-	hedge bool
+	ref  model.ChunkRef
+	site model.SiteID
+	data []byte
+	err  error
 }
 
 // chunkSink carries chunk reads from the goroutines performing them to
 // the one collector that started them, and makes sure every chunk buffer
 // has exactly one owner even though the collector usually leaves before
-// the last read lands (late binding, hedging, errors): until finish the
+// the last read lands (late binding, errors): until finish the
 // collector receives from ch and owns what it receives; from then on
 // whatever is or arrives in ch is released by whoever sees it first.
 type chunkSink struct {
@@ -606,9 +605,7 @@ func releaseChunks(got map[model.BlockID]map[int][]byte) {
 // that site's chunk reads sequentially (modelling one connection per site),
 // and the caller completes as soon as every block has k chunks. In-flight
 // reads are canceled the moment the request is satisfied or fails, and
-// surplus late-binding responses are released as they trickle in. When
-// hedging is enabled, blocks still unsatisfied after the hedge threshold
-// get one extra chunk read from the cheapest not-yet-planned site.
+// surplus late-binding responses are released as they trickle in.
 //
 // On success the caller owns the returned chunk buffers (releaseChunks);
 // on error they have all been released already.
@@ -617,8 +614,7 @@ func (c *Client) fetch(ctx context.Context, plan *model.AccessPlan, s readSet, s
 	fetchCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	// Room for every planned read plus one hedge per block.
-	results := newChunkSink(total + len(s.metas))
+	results := newChunkSink(total)
 	defer results.finish()
 	for _, site := range plan.SortedSites() {
 		refs := plan.Reads[site]
@@ -633,34 +629,19 @@ func (c *Client) fetch(ctx context.Context, plan *model.AccessPlan, s readSet, s
 	satisfied := 0
 	failures := 0
 	fetched := 0
-	plannedSeen := 0
-	hedgesLaunched := 0
-	hedgesWon := 0
-
-	var hedgeC <-chan time.Time
-	if d := c.hedgeThreshold(); d > 0 {
-		timer := time.NewTimer(d)
-		defer timer.Stop()
-		hedgeC = timer.C
-	}
-
+	outstanding := total
+	// Reads still outstanding when collection ends are the surplus
+	// late binding discards.
 	flush := func() {
 		c.obs.chunksFetched.Add(int64(fetched))
 		c.obs.fetchErrors.Add(int64(failures))
-		c.obs.lateDiscarded.Add(int64(total - plannedSeen))
-		c.obs.hedges.Add(int64(hedgesLaunched))
-		c.obs.hedgesWon.Add(int64(hedgesWon))
-		c.obs.hedgesLost.Add(int64(hedgesLaunched - hedgesWon))
+		c.obs.lateDiscarded.Add(int64(outstanding))
 	}
 
-	outstanding := total
 	for outstanding > 0 && satisfied < len(s.metas) {
 		select {
 		case res := <-results.ch:
 			outstanding--
-			if !res.hedge {
-				plannedSeen++
-			}
 			if res.err != nil {
 				if errors.Is(res.err, context.Canceled) && ctx.Err() == nil {
 					continue // canceled by our own completion; not a failure
@@ -682,21 +663,10 @@ func (c *Client) fetch(ctx context.Context, plan *model.AccessPlan, s readSet, s
 				bufpool.Put(res.data)
 				continue
 			}
-			need := s.metas[res.ref.Block].RequiredChunks()
-			wasSatisfied := len(m) >= need
 			m[res.ref.Chunk] = res.data
-			if res.hedge && !wasSatisfied {
-				hedgesWon++
-			}
-			if !wasSatisfied && len(m) == need {
+			if len(m) == s.metas[res.ref.Block].RequiredChunks() {
 				satisfied++
 			}
-
-		case <-hedgeC:
-			hedgeC = nil
-			n := c.launchHedges(fetchCtx, plan, s, got, results)
-			hedgesLaunched += n
-			outstanding += n
 
 		case <-ctx.Done():
 			c.obs.deadlines.Inc()
@@ -744,67 +714,6 @@ func (c *Client) fetchSite(ctx context.Context, site model.SiteID, refs []model.
 			down = err
 		}
 	}
-}
-
-// hedgeThreshold returns the current hedge trigger delay, HedgeDelay.
-// Zero disables hedging.
-func (c *Client) hedgeThreshold() time.Duration {
-	if c.cfg.HedgeDelay <= 0 {
-		return 0
-	}
-	// Under access-tier overload (gateway queue occupied), speculative
-	// duplicate reads only add load; shed them first.
-	if c.pressure.Overloaded() {
-		c.obs.hedgesSuppressed.Inc()
-		return 0
-	}
-	return c.cfg.HedgeDelay
-}
-
-// launchHedges issues at most one extra chunk read per unsatisfied block,
-// extending late binding: the hedge targets a chunk the plan did not
-// select, fetched from the cheapest available holder under the Eq. 1 cost
-// model (o_j + m_j x window size). Returns how many hedges were started.
-func (c *Client) launchHedges(ctx context.Context, plan *model.AccessPlan, s readSet, got map[model.BlockID]map[int][]byte, results *chunkSink) int {
-	costs := c.costs()
-	launched := 0
-	for id, meta := range s.metas {
-		if len(got[id]) >= meta.RequiredChunks() {
-			continue
-		}
-		best := -1
-		var bestCost float64
-		for chunk, site := range meta.Sites {
-			if site == model.NoSite || slices.Contains(plan.Reads[site], model.ChunkRef{Block: id, Chunk: chunk}) {
-				continue
-			}
-			if _, have := got[id][chunk]; have {
-				continue
-			}
-			if c.sites[site] == nil || !c.available(site) {
-				continue
-			}
-			cost := costs.OCost(site) + costs.MCost(site)*float64(meta.ChunkSize)
-			if best == -1 || cost < bestCost {
-				best, bestCost = chunk, cost
-			}
-		}
-		if best == -1 {
-			continue // no unplanned chunk left on an available site
-		}
-		ref := model.ChunkRef{Block: id, Chunk: best}
-		site := meta.Sites[best]
-		api := c.sites[site]
-		launched++
-		//lint:ignore goleak ends with the one read it performs, which honours ctx (canceled when fetch returns); the sink send never blocks
-		go func(site model.SiteID, api storage.SiteAPI, ref model.ChunkRef, r blockRead) {
-			data, err := c.readChunk(ctx, api, ref, r)
-			// The request may have been satisfied (or expired) while
-			// this hedge was in flight; the sink then releases the chunk.
-			results.send(fetchResult{ref: ref, site: site, data: data, err: err, hedge: true})
-		}(site, api, ref, s.read(id))
-	}
-	return launched
 }
 
 // readChunk reads r's window of one chunk under the per-attempt deadline

@@ -6,11 +6,11 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 
 	"ecstore/internal/bufpool"
 	"ecstore/internal/erasure"
 	"ecstore/internal/model"
+	"ecstore/internal/storage"
 )
 
 // PutReader stores a block of unknown length from r through the
@@ -18,7 +18,7 @@ import (
 // bytes) at a time, each stripe is erasure-encoded as soon as it is
 // read, and its k+r chunk segments are shipped to the sites via
 // PutChunkStream while the next stripe is already being read and
-// encoded. At most cfg.StreamDepth stripes are in flight at once, so
+// encoded. At most streamDepth stripes are in flight at once, so
 // memory stays bounded at depth pooled stripe buffers regardless of the
 // block's size. The resulting block is stripe-interleaved
 // (BlockMeta.StripeUnit > 0): whole-block reads reassemble it
@@ -64,12 +64,12 @@ func (c *Client) streamPut(ctx context.Context, id model.BlockID, r io.Reader, m
 	}
 
 	// The write pipeline: the loop below reads and encodes stripe N
-	// while up to StreamDepth earlier stripes' segment writes drain in
+	// while up to streamDepth earlier stripes' segment writes drain in
 	// background goroutines. The first write error cancels wctx, which
 	// both stops in-flight writes and unblocks the semaphore wait.
 	wctx, wcancel := context.WithCancel(ctx)
 	defer wcancel()
-	sem := make(chan struct{}, c.cfg.StreamDepth)
+	sem := make(chan struct{}, streamDepth)
 	var wg sync.WaitGroup
 	var failMu sync.Mutex
 	var failErr error // first pipeline error (read, encode or write)
@@ -179,37 +179,12 @@ func (c *Client) streamPut(ctx context.Context, id model.BlockID, r io.Reader, m
 
 // writeStripe ships one encoded stripe: chunk c's segment lands at
 // chunk offset t*StripeUnit on its site, with the same bounded fan-out
-// discipline as PutContext (at most PutFanout concurrent writers).
+// discipline as PutContext (storeChunks).
 func (c *Client) writeStripe(ctx context.Context, id model.BlockID, chosen []model.SiteID, t int64, chunks [][]byte) error {
 	off := t * c.cfg.StripeUnit
-	errs := make([]error, len(chunks))
-	workers := c.cfg.PutFanout
-	if workers < 0 || workers > len(chunks) {
-		workers = len(chunks)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(chunks) {
-					return
-				}
-				site := c.sites[chosen[i]]
-				if site == nil {
-					errs[i] = fmt.Errorf("%w: site %d", ErrNoSites, chosen[i])
-					continue
-				}
-				cctx, ccancel := c.chunkCtx(ctx)
-				errs[i] = site.PutChunkStream(cctx, model.ChunkRef{Block: id, Chunk: i}, off, chunks[i])
-				ccancel()
-			}
-		}()
-	}
-	wg.Wait()
+	errs := c.storeChunks(ctx, id, chosen, func(ctx context.Context, site storage.SiteAPI, ref model.ChunkRef) error {
+		return site.PutChunkStream(ctx, ref, off, chunks[ref.Chunk])
+	})
 	for i, err := range errs {
 		if err != nil {
 			return fmt.Errorf("stream chunk %d stripe %d of %s: %w", i, t, id, err)

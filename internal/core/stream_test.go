@@ -39,7 +39,7 @@ func (r *slowReader) Read(p []byte) (int, error) {
 
 func TestPutReaderRoundTrip(t *testing.T) {
 	c := newTestCluster(t, ClusterConfig{
-		Client: Config{StripeUnit: 256, StreamDepth: 3},
+		Client: Config{StripeUnit: 256},
 	})
 	// 5 full stripes (k=2, unit=256 => 512 B/stripe) plus a partial tail.
 	data := blockData(5*512+123, 9)

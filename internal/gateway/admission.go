@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"sync/atomic"
+
+	"ecstore/internal/obs"
 )
 
 // admission is the bounded-queue concurrency gate. Concurrency slots
@@ -17,26 +19,22 @@ type admission struct {
 	slots    chan struct{}
 	maxQueue int64
 	waiting  atomic.Int64
-	// onDepth is called with the queue depth after every change; the
-	// gateway points it at the health.Pressure feed and the
-	// gateway_queue_depth gauge.
-	onDepth func(depth int)
+	// depth is set to the queue depth after every change (the
+	// gateway_queue_depth gauge; nil-safe).
+	depth *obs.Gauge
 }
 
-func newAdmission(concurrency, queueDepth int, onDepth func(int)) *admission {
+func newAdmission(concurrency, queueDepth int, depth *obs.Gauge) *admission {
 	if concurrency <= 0 {
 		concurrency = 64
 	}
 	if queueDepth <= 0 {
 		queueDepth = 2 * concurrency
 	}
-	if onDepth == nil {
-		onDepth = func(int) {}
-	}
 	return &admission{
 		slots:    make(chan struct{}, concurrency),
 		maxQueue: int64(queueDepth),
-		onDepth:  onDepth,
+		depth:    depth,
 	}
 }
 
@@ -55,9 +53,9 @@ func (a *admission) acquire(ctx context.Context) error {
 		a.waiting.Add(-1)
 		return ErrOverloaded
 	}
-	a.onDepth(int(n))
+	a.depth.Set(n)
 	defer func() {
-		a.onDepth(int(a.waiting.Add(-1)))
+		a.depth.Set(a.waiting.Add(-1))
 	}()
 	select {
 	case a.slots <- struct{}{}:

@@ -1,7 +1,7 @@
 // Package gateway is the multi-tenant access tier: a thin daemon that
 // multiplexes untrusted tenant traffic over one pooled core.Client (so
 // all tenants share its decoded-block cache, circuit breakers and
-// hedging policy) behind per-tenant token-bucket rate limits, byte
+// late-binding reads) behind per-tenant token-bucket rate limits, byte
 // quotas, and admission control with a bounded queue. Overload is met
 // with load shedding — a 429-style rejection the client can back off
 // from — never with an unbounded queue that collapses tail latency for

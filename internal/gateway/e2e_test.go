@@ -39,7 +39,7 @@ func newGatewayCluster(t *testing.T, gwCfg Config) (*Gateway, *core.Cluster) {
 
 // TestConcurrentTenantsSharedProxy drives many tenants through one
 // pooled core.Client at once (run under -race in the full suite): the
-// shared cache/breaker/hedging state must stay consistent and each
+// shared cache/breaker state must stay consistent and each
 // tenant's accounting must remain isolated.
 func TestConcurrentTenantsSharedProxy(t *testing.T) {
 	reg := obs.NewRegistry()

@@ -32,7 +32,7 @@ var (
 
 // Proxy is the slice of core.Client the gateway drives. One Proxy is
 // shared by every tenant, so they pool its connections, decoded-block
-// cache, circuit breakers and hedging policy. The bytes GetContext and
+// cache and circuit breakers. The bytes GetContext and
 // GetRange return are shared with that cache and with concurrent
 // readers: the gateway and its fronts only read them, and never hand
 // them to a buffer pool.
@@ -63,9 +63,8 @@ type Config struct {
 	Clock func() time.Time
 	// Metrics optionally exports the gateway_* family. Nil disables it.
 	Metrics *obs.Registry
-	// Pressure receives queue-depth and shed signals so the core client
-	// can suppress hedging under access-tier overload. Nil allocates a
-	// private one (reachable via Pressure()).
+	// Pressure is ignored. It exists only because benchmark/rig.go
+	// still sets it; delete it at the next change to the benchmark.
 	Pressure *health.Pressure
 }
 
@@ -102,11 +101,10 @@ func newGatewayObs(reg *obs.Registry) gatewayObs {
 // Gateway is the multi-tenant access tier over one shared Proxy.
 // All methods are safe for concurrent use.
 type Gateway struct {
-	cfg      Config
-	proxy    Proxy
-	adm      *admission
-	pressure *health.Pressure
-	obs      gatewayObs
+	cfg   Config
+	proxy Proxy
+	adm   *admission
+	obs   gatewayObs
 
 	mu      sync.Mutex
 	tenants map[string]*tenant
@@ -117,20 +115,13 @@ func New(cfg Config, proxy Proxy) *Gateway {
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
 	}
-	if cfg.Pressure == nil {
-		cfg.Pressure = health.NewPressure(1)
-	}
 	g := &Gateway{
-		cfg:      cfg,
-		proxy:    proxy,
-		pressure: cfg.Pressure,
-		obs:      newGatewayObs(cfg.Metrics),
-		tenants:  make(map[string]*tenant),
+		cfg:     cfg,
+		proxy:   proxy,
+		obs:     newGatewayObs(cfg.Metrics),
+		tenants: make(map[string]*tenant),
 	}
-	g.adm = newAdmission(cfg.Concurrency, cfg.QueueDepth, func(depth int) {
-		g.pressure.SetQueueDepth(depth)
-		g.obs.queueDepth.Set(int64(depth))
-	})
+	g.adm = newAdmission(cfg.Concurrency, cfg.QueueDepth, g.obs.queueDepth)
 	now := g.now()
 	names := make([]string, 0, len(cfg.Tenants))
 	for name := range cfg.Tenants {
@@ -144,10 +135,6 @@ func New(cfg Config, proxy Proxy) *Gateway {
 }
 
 func (g *Gateway) now() time.Time { return g.cfg.Clock() }
-
-// Pressure exposes the access-tier load feed, for wiring into
-// core.Deps.Pressure so hedging sees gateway overload.
-func (g *Gateway) Pressure() *health.Pressure { return g.pressure }
 
 // QueueDepth returns the current admission-queue depth.
 func (g *Gateway) QueueDepth() int { return g.adm.queueDepth() }
@@ -182,7 +169,6 @@ func (g *Gateway) tenantFor(name string) (*tenant, error) {
 
 func (g *Gateway) shed(reason string) {
 	g.obs.shed.With(reason).Inc()
-	g.pressure.ReportShed()
 }
 
 // admit runs the full admission pipeline for one request: tenant
@@ -213,7 +199,6 @@ func (g *Gateway) admit(ctx context.Context, tenantName, op string) (*tenant, fu
 		return nil, nil, err
 	}
 	g.obs.admitted.Inc()
-	g.pressure.ReportAdmitted()
 	g.obs.inflight.Set(int64(g.adm.inflight()))
 	release := func() {
 		g.adm.release()

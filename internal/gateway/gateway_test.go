@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"ecstore/internal/health"
 	"ecstore/internal/model"
 	"ecstore/internal/obs"
 )
@@ -325,11 +324,9 @@ func TestOverloadShedsInsteadOfQueueing(t *testing.T) {
 	proxy.blocks["b"] = []byte("v")
 	proxy.entered = make(chan struct{}, 16)
 	proxy.gate = make(chan struct{})
-	pressure := health.NewPressure(1)
 	gw := New(Config{
 		Clock:       clock.Now,
 		Metrics:     reg,
-		Pressure:    pressure,
 		Concurrency: 2,
 		QueueDepth:  2,
 		Tenants:     map[string]TenantConfig{"t": {RatePerSec: -1}},
@@ -360,8 +357,8 @@ func TestOverloadShedsInsteadOfQueueing(t *testing.T) {
 		}()
 	}
 	waitFor(t, func() bool { return gw.QueueDepth() == 2 })
-	if !pressure.Overloaded() {
-		t.Fatal("pressure must report overload while the queue is occupied")
+	if got := reg.Snapshot().GaugeValue("gateway_queue_depth"); got != int64(gw.QueueDepth()) {
+		t.Fatalf("gateway_queue_depth = %d while the queue holds %d", got, gw.QueueDepth())
 	}
 
 	// ...and the next arrival is shed immediately, without blocking.

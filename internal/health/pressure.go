@@ -1,96 +1,10 @@
 package health
 
-import "sync/atomic"
+// Pressure carries nothing and nothing reads it. It exists only because
+// benchmark/rig.go still builds one for core.Deps and gateway.Config;
+// delete it at the next change to the benchmark.
+type Pressure struct{}
 
-// Pressure is a lock-free summary of access-tier load that the gateway
-// publishes and latency-sensitive policies consume. The gateway updates
-// it on every admission decision; the core client reads it on the hedged
-// read path: when the access tier is already queueing, firing duplicate
-// speculative reads only deepens the overload, so hedging is suppressed
-// while Overloaded reports true (the breakers see the same signal via
-// the shared Tracker the client feeds them).
-//
-// The zero value is usable: no pressure, threshold of 1 queued request.
-type Pressure struct {
-	// queueDepth is the number of admitted requests currently waiting
-	// for a concurrency slot (not the in-flight count).
-	queueDepth atomic.Int64
-	// threshold is the queue depth at or above which the tier counts as
-	// overloaded; 0 means 1.
-	threshold atomic.Int64
-
-	admitted atomic.Int64
-	shed     atomic.Int64
-}
-
-// NewPressure builds a Pressure that reports overload once the published
-// queue depth reaches threshold (values below 1 mean 1).
-func NewPressure(threshold int) *Pressure {
-	p := &Pressure{}
-	if threshold > 0 {
-		p.threshold.Store(int64(threshold))
-	}
-	return p
-}
-
-// SetQueueDepth publishes the current admission-queue depth.
-func (p *Pressure) SetQueueDepth(n int) {
-	if p == nil {
-		return
-	}
-	p.queueDepth.Store(int64(n))
-}
-
-// QueueDepth returns the last published admission-queue depth.
-func (p *Pressure) QueueDepth() int {
-	if p == nil {
-		return 0
-	}
-	return int(p.queueDepth.Load())
-}
-
-// ReportAdmitted counts an admitted request.
-func (p *Pressure) ReportAdmitted() {
-	if p == nil {
-		return
-	}
-	p.admitted.Add(1)
-}
-
-// ReportShed counts a rejected (shed) request.
-func (p *Pressure) ReportShed() {
-	if p == nil {
-		return
-	}
-	p.shed.Add(1)
-}
-
-// Admitted returns the cumulative admitted-request count.
-func (p *Pressure) Admitted() int64 {
-	if p == nil {
-		return 0
-	}
-	return p.admitted.Load()
-}
-
-// Shed returns the cumulative shed-request count.
-func (p *Pressure) Shed() int64 {
-	if p == nil {
-		return 0
-	}
-	return p.shed.Load()
-}
-
-// Overloaded reports whether the access tier is queueing: the published
-// queue depth has reached the threshold. A nil Pressure never reports
-// overload, so callers can keep an unconditional check on the hot path.
-func (p *Pressure) Overloaded() bool {
-	if p == nil {
-		return false
-	}
-	th := p.threshold.Load()
-	if th < 1 {
-		th = 1
-	}
-	return p.queueDepth.Load() >= th
-}
+// NewPressure returns an empty Pressure; threshold is ignored. It exists
+// only for benchmark/rig.go.
+func NewPressure(threshold int) *Pressure { return &Pressure{} }

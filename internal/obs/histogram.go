@@ -118,18 +118,6 @@ func (h *Histogram) Count() uint64 {
 	return total
 }
 
-// Quantile returns the q-th (0 < q < 1) observed quantile, approximated
-// from the log-scale buckets; zero when nothing has been observed. It is
-// nil-safe, so callers can consult a disabled histogram freely (e.g. the
-// client's adaptive hedge threshold).
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	m := h.merge()
-	return m.quantile(q)
-}
-
 // merged collapses the stripes into one view.
 type mergedHist struct {
 	counts [histBuckets]uint64

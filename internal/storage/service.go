@@ -725,7 +725,7 @@ func (c *Client) LoadReport(ctx context.Context) (stats.SiteLoad, error) {
 // SiteAPI is the storage-site surface shared by the local Service and the
 // RPC Client so the client service and repair service work in both modes.
 // Every method takes a context so callers can bound and cancel site
-// operations (per-chunk deadlines, hedged reads, parallel probes).
+// operations (per-chunk deadlines, late-binding cancellation, parallel probes).
 //
 // Buffers: PutChunk and PutChunkStream borrow data until they return.
 // GetChunk and GetChunkRange return a buffer the caller owns exclusively;

@@ -4,9 +4,10 @@
 # (internal/lint: context, locking, goroutine-leak, determinism, error
 # wrapping, metric naming, lock-order and pool-balance rules), run the
 # quick test suite under the race detector (the buffer-owning packages
-# again in full, with bufpool's poison hook on), run the read path's hit,
-# miss and range benchmarks, the decoded-block cache's hit and miss
-# benchmarks and the exact access planner's benchmark once, then
+# again in full, with bufpool's poison hook on), run the codec kernel,
+# wire framing, read path (hit, miss, range), decoded-block cache (hit,
+# miss) and exact access planner benchmarks once, diff two quick fig4b
+# simulator runs (identical apart from the elapsed-time line), then
 # smoke-run the fault-tolerance
 # example end to end (degraded reads, repair, recovery), the scrubbing
 # example (injected bit rot -> nonzero scrub_corrupt_detected), the
@@ -29,9 +30,15 @@ go build ./...
 go run ./cmd/ecstore-lint ./...
 go test -race -short ./...
 go test -race ./internal/bufpool ./internal/cache ./internal/core ./internal/rpc ./internal/storage
-go test -run TestNone -bench ReadPath -benchtime 1x -benchmem ./internal/core
-go test -run TestNone -bench Cache -benchtime 1x -benchmem ./internal/cache
-go test -run TestNone -bench ExactPlan -benchtime 1x -benchmem ./internal/placement
+go test -run 'TestNone' -bench 'Codec|WireFrame|ReadPath|ExactPlan|Cache' -benchtime 1x -benchmem ./internal/erasure ./internal/wire ./internal/gf256 ./internal/core ./internal/placement ./internal/cache
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+go build -o "$tmp/ecbench" ./cmd/ecbench
+for i in 1 2; do
+  "$tmp/ecbench" -exp fig4b -scale quick -seed 42 | grep -v '^(quick scale, seed 42, ' > "$tmp/fig4b-$i.txt"
+done
+cat "$tmp/fig4b-1.txt"
+diff "$tmp/fig4b-1.txt" "$tmp/fig4b-2.txt"
 go run ./examples/faulttolerance
 scrub=$(go run ./examples/scrubbing)
 echo "$scrub"
