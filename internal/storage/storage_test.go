@@ -187,7 +187,7 @@ func TestDiskStoreConcurrentPutsSameChunk(t *testing.T) {
 		t.Fatalf("stored chunk (%d bytes) matches no complete payload", len(got))
 	}
 
-	// No staging files survive.
+	// No staging files survive, beside the chunks or in the pool.
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -196,6 +196,9 @@ func TestDiskStoreConcurrentPutsSameChunk(t *testing.T) {
 		if strings.HasSuffix(ent.Name(), ".tmp") {
 			t.Fatalf("leftover staging file %s", ent.Name())
 		}
+	}
+	if n := len(poolFiles(t, dir)); n != 0 {
+		t.Fatalf("%d leftover staging files in the pool", n)
 	}
 	if n, _ := s.Count(); n != 1 {
 		t.Fatalf("Count = %d, want 1", n)

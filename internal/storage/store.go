@@ -19,11 +19,13 @@
 //     Decoder.Rest) and responses return them as the whole response
 //     body, vectored onto the socket by the rpc layer.
 //
-//   - Whole-chunk writes commit atomically (temp + fsync + rename on
-//     disk); streamed offset writes (PutAt) do not — a streamed chunk
-//     is incomplete until its block's catalog registration, which is
-//     the commit point of the streaming put path. Readers that find a
-//     chunk only through the catalog never observe a torn chunk.
+//   - Whole-chunk writes commit atomically (staging file + fsync +
+//     rename on disk; the staging file is a pooled retired chunk file
+//     when the pool has one, and a pooled file is never reachable by a
+//     chunk name); streamed offset writes (PutAt) do not — a streamed
+//     chunk is incomplete until its block's catalog registration, which
+//     is the commit point of the streaming put path. Readers that find
+//     a chunk only through the catalog never observe a torn chunk.
 //
 //   - Checksummed at rest. Every chunk is stored framed behind a
 //     24-byte header carrying a CRC32-C of the payload (checksum.go).
@@ -42,7 +44,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
+	"syscall"
 
 	"ecstore/internal/bufpool"
 	"ecstore/internal/model"
@@ -299,22 +301,135 @@ func (s *MemStore) MutateRaw(ref model.ChunkRef, mutate func([]byte) []byte) err
 }
 
 // DiskStore persists chunks as files `<urlencoded-block>.<chunk>` under a
-// directory. A coarse mutex serializes metadata operations; chunk I/O
-// relies on the filesystem.
+// directory. Retired chunk files are kept for reuse in a pool directory,
+// `.free/`, as files named by number: creating a file costs far more
+// than rewriting one, so a store with churn writes chunks into pooled
+// files and allocates no inode. A pooled file is never reachable by a
+// chunk name. One DiskStore owns its directory at a time.
 type DiskStore struct {
-	dir string
-	mu  sync.Mutex
+	dir  string
+	pool string // dir/.free/
+
+	// names keeps a file from entering the pool while anyone holds it
+	// open by its chunk name. Every open by chunk name holds the shared
+	// side until the file is closed; retire holds the exclusive side
+	// across its rename. Otherwise a reader or streaming writer with an
+	// fd from before a delete would see, or scribble on, the next chunk
+	// written into that file: the header does not name its chunk.
+	names sync.RWMutex
+
+	poolMu sync.Mutex
+	free   []uint64 // numbers of the empty files in the pool, reused last in first out
+	next   uint64   // number for the next file made or moved into the pool
 }
+
+// poolCap bounds the pool: past it a delete unlinks the chunk's file.
+const poolCap = 256
 
 var _ Store = (*DiskStore)(nil)
 var _ RawMutator = (*DiskStore)(nil)
 
-// NewDiskStore creates (if needed) and wraps a directory.
+// NewDiskStore creates (if needed) and wraps a directory. Files a
+// previous run left in the pool are adopted: emptied if a crash caught
+// one mid-retire or mid-write, unlinked if a crash inside PutAt left one
+// also named as a chunk, or past the cap.
 func NewDiskStore(dir string) (*DiskStore, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	s := &DiskStore{dir: dir, pool: filepath.Join(dir, ".free") + string(filepath.Separator)}
+	if err := os.MkdirAll(s.pool, 0o755); err != nil {
 		return nil, fmt.Errorf("create chunk dir: %w", err)
 	}
-	return &DiskStore{dir: dir}, nil
+	entries, err := os.ReadDir(s.pool)
+	if err != nil {
+		return nil, fmt.Errorf("adopt chunk pool: %w", err)
+	}
+	for _, ent := range entries {
+		n, err := strconv.ParseUint(ent.Name(), 10, 64)
+		if err != nil || !ent.Type().IsRegular() {
+			continue // not a pool file
+		}
+		s.next = max(s.next, n+1)
+		info, err := ent.Info()
+		if err != nil {
+			return nil, fmt.Errorf("adopt chunk pool: %w", err)
+		}
+		st, ok := info.Sys().(*syscall.Stat_t)
+		keep := len(s.free) < poolCap && !(ok && st.Nlink > 1)
+		switch {
+		case !keep:
+			err = os.Remove(s.poolPath(n))
+		case info.Size() > 0:
+			err = os.Truncate(s.poolPath(n), 0)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("adopt chunk pool: %w", err)
+		}
+		if keep {
+			s.free = append(s.free, n)
+		}
+	}
+	return s, nil
+}
+
+func (s *DiskStore) poolPath(n uint64) string {
+	return s.pool + strconv.FormatUint(n, 10)
+}
+
+// stage opens a file in the pool directory for a chunk write and returns
+// it with its number: a pooled file, emptied on open, when there is one,
+// else a new file. flag is the access mode.
+func (s *DiskStore) stage(flag int) (*os.File, uint64, error) {
+	s.poolMu.Lock()
+	n := s.next
+	if k := len(s.free); k > 0 {
+		n = s.free[k-1]
+		s.free = s.free[:k-1]
+	} else {
+		s.next++
+		flag |= os.O_CREATE | os.O_EXCL
+	}
+	s.poolMu.Unlock()
+	f, err := os.OpenFile(s.poolPath(n), flag|os.O_TRUNC, 0o644)
+	return f, n, err
+}
+
+// release empties pool file n, named name, and puts it on the stack, or
+// unlinks it if the pool is full.
+func (s *DiskStore) release(n uint64, name string) error {
+	if err := os.Truncate(name, 0); err != nil {
+		_ = os.Remove(name) // should this fail too, the next start empties the file
+		return err
+	}
+	s.poolMu.Lock()
+	room := len(s.free) < poolCap
+	if room {
+		s.free = append(s.free, n)
+	}
+	s.poolMu.Unlock()
+	if !room {
+		return os.Remove(name)
+	}
+	return nil
+}
+
+// retire takes a chunk file off its name: into the pool, once no one
+// holds it open by that name, while the pool has room, else unlinked.
+func (s *DiskStore) retire(path string) error {
+	s.poolMu.Lock()
+	full := len(s.free) >= poolCap
+	n := s.next
+	s.next++
+	s.poolMu.Unlock()
+	if full {
+		return os.Remove(path)
+	}
+	name := s.poolPath(n)
+	s.names.Lock()
+	err := os.Rename(path, name)
+	s.names.Unlock()
+	if err != nil {
+		return err
+	}
+	return s.release(n, name)
 }
 
 // filePrefix is what the names of all of a block's chunk files start
@@ -328,12 +443,9 @@ func (s *DiskStore) path(ref model.ChunkRef) string {
 	return filepath.Join(s.dir, filePrefix(ref.Block)+strconv.Itoa(ref.Chunk))
 }
 
-// tmpSeq makes each Put's staging file name unique process-wide.
-var tmpSeq atomic.Uint64
-
-// Put implements Store. Each call stages into its own temp file —
-// concurrent puts of the same chunk must not scribble over a shared
-// staging path — syncs it to stable storage, then renames it into place
+// Put implements Store. Each call stages into its own file from the pool
+// — concurrent puts of the same chunk must not scribble over a shared
+// staging file — syncs it to stable storage, then renames it into place
 // so readers only ever observe complete chunk contents. The staging
 // file is removed on any error. The file lands sealed: header first,
 // CRC computed before any byte reaches the disk. Header and payload are
@@ -341,11 +453,11 @@ var tmpSeq atomic.Uint64
 func (s *DiskStore) Put(ref model.ChunkRef, data []byte) error {
 	var hdr [headerSize]byte
 	writeHeader(hdr[:], flagSealed, uint64(len(data)), Checksum(data))
-	tmp := fmt.Sprintf("%s.%d.%d.tmp", s.path(ref), os.Getpid(), tmpSeq.Add(1))
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	f, _, err := s.stage(os.O_WRONLY)
 	if err != nil {
 		return fmt.Errorf("write chunk: %w", err)
 	}
+	tmp := f.Name()
 	if _, err := f.Write(hdr[:]); err == nil {
 		_, err = f.Write(data)
 	}
@@ -393,6 +505,8 @@ func (s *DiskStore) GetAt(ref model.ChunkRef, off, n int64) ([]byte, error) {
 // header is read on its own and the payload window goes straight into a
 // bufpool buffer sized for it, which the caller owns.
 func (s *DiskStore) read(ref model.ChunkRef, off, n int64) ([]byte, error) {
+	s.names.RLock()
+	defer s.names.RUnlock()
 	f, err := os.Open(s.path(ref))
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
@@ -458,7 +572,9 @@ func (s *DiskStore) PutAt(ref model.ChunkRef, off int64, data []byte) error {
 	if off < 0 {
 		return fmt.Errorf("%w: negative offset %d", ErrShortChunk, off)
 	}
-	f, err := os.OpenFile(s.path(ref), os.O_RDWR|os.O_CREATE, 0o644)
+	s.names.RLock()
+	defer s.names.RUnlock()
+	f, err := s.openStream(s.path(ref))
 	if err != nil {
 		return fmt.Errorf("open chunk for stream: %w", err)
 	}
@@ -493,9 +609,45 @@ func (s *DiskStore) PutAt(ref model.ChunkRef, off int64, data []byte) error {
 	return nil
 }
 
+// openStream opens a streamed chunk's file by its name for PutAt. The
+// first segment of a chunk brings its file from the pool, headed before
+// it gets the chunk's name so the chunk never shows up headerless. The
+// link fails with EEXIST when another stream created the chunk first;
+// the staged file then goes back to the pool.
+func (s *DiskStore) openStream(path string) (*os.File, error) {
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if !errors.Is(err, os.ErrNotExist) {
+		return f, err
+	}
+	f, n, err := s.stage(os.O_RDWR)
+	if err != nil {
+		return nil, err
+	}
+	staged := f.Name()
+	var hdr [headerSize]byte
+	writeHeader(hdr[:], 0, 0, 0)
+	if _, err = f.Write(hdr[:]); err == nil {
+		if err = os.Link(staged, path); err == nil {
+			err = os.Remove(staged)
+		}
+	}
+	if err == nil {
+		return f, nil
+	}
+	_ = f.Close()
+	if !errors.Is(err, os.ErrExist) {
+		_ = os.Remove(staged)
+		return nil, err
+	}
+	if err := s.release(n, staged); err != nil {
+		return nil, err
+	}
+	return os.OpenFile(path, os.O_RDWR, 0)
+}
+
 // Delete implements Store.
 func (s *DiskStore) Delete(ref model.ChunkRef) error {
-	err := os.Remove(s.path(ref))
+	err := s.retire(s.path(ref))
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return fmt.Errorf("delete chunk: %w", err)
 	}
@@ -522,12 +674,12 @@ func (s *DiskStore) DeleteBlock(id model.BlockID) error {
 			continue
 		}
 		// The rest must be exactly a chunk index: "a.1.0" is chunk 0 of
-		// block "a.1", not a chunk of block "a", and staging files end
-		// in ".tmp".
+		// block "a.1", not a chunk of block "a", and staging files of
+		// older builds end in ".tmp".
 		if _, err := strconv.Atoi(name[len(prefix):]); err != nil {
 			continue
 		}
-		if err := os.Remove(filepath.Join(s.dir, name)); err != nil && !errors.Is(err, os.ErrNotExist) {
+		if err := s.retire(filepath.Join(s.dir, name)); err != nil && !errors.Is(err, os.ErrNotExist) {
 			return fmt.Errorf("delete chunk: %w", err)
 		}
 	}
@@ -591,12 +743,9 @@ func (s *DiskStore) Bytes() (int64, error) {
 
 // Verify implements Store.
 func (s *DiskStore) Verify(ref model.ChunkRef) (ChunkCheck, error) {
-	raw, err := os.ReadFile(s.path(ref))
+	raw, err := s.readFile(ref, "verify chunk")
 	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return ChunkCheck{}, fmt.Errorf("%w: %s", ErrChunkNotFound, ref)
-		}
-		return ChunkCheck{}, fmt.Errorf("verify chunk: %w", err)
+		return ChunkCheck{}, err
 	}
 	return checkFrame(ref, raw)
 }
@@ -604,12 +753,9 @@ func (s *DiskStore) Verify(ref model.ChunkRef) (ChunkCheck, error) {
 // Seal implements Store. Resealing rewrites the chunk through the atomic
 // Put path, so a crash mid-seal leaves the old (unsealed) file intact.
 func (s *DiskStore) Seal(ref model.ChunkRef) (ChunkCheck, error) {
-	raw, err := os.ReadFile(s.path(ref))
+	raw, err := s.readFile(ref, "seal chunk")
 	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return ChunkCheck{}, fmt.Errorf("%w: %s", ErrChunkNotFound, ref)
-		}
-		return ChunkCheck{}, fmt.Errorf("seal chunk: %w", err)
+		return ChunkCheck{}, err
 	}
 	check, err := checkFrame(ref, raw)
 	if err != nil || check.Sealed {
@@ -626,18 +772,33 @@ func (s *DiskStore) Seal(ref model.ChunkRef) (ChunkCheck, error) {
 // The mutated frame is written straight over the file — deliberately not
 // through the atomic Put path, because this models media damage.
 func (s *DiskStore) MutateRaw(ref model.ChunkRef, mutate func([]byte) []byte) error {
-	raw, err := os.ReadFile(s.path(ref))
+	raw, err := s.readFile(ref, "mutate chunk")
 	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return fmt.Errorf("%w: %s", ErrChunkNotFound, ref)
-		}
-		return fmt.Errorf("mutate chunk: %w", err)
+		return err
 	}
 	out := mutate(raw)
-	if err := os.WriteFile(s.path(ref), out, 0o644); err != nil {
+	s.names.RLock()
+	err = os.WriteFile(s.path(ref), out, 0o644)
+	s.names.RUnlock()
+	if err != nil {
 		return fmt.Errorf("mutate chunk: %w", err)
 	}
 	return nil
+}
+
+// readFile reads a chunk's whole file by its name; op names the caller
+// in errors other than ErrChunkNotFound.
+func (s *DiskStore) readFile(ref model.ChunkRef, op string) ([]byte, error) {
+	s.names.RLock()
+	raw, err := os.ReadFile(s.path(ref))
+	s.names.RUnlock()
+	switch {
+	case errors.Is(err, os.ErrNotExist):
+		return nil, fmt.Errorf("%w: %s", ErrChunkNotFound, ref)
+	case err != nil:
+		return nil, fmt.Errorf("%s: %w", op, err)
+	}
+	return raw, nil
 }
 
 func sortRefs(refs []model.ChunkRef) {

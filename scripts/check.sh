@@ -6,7 +6,8 @@
 # quick test suite under the race detector (the buffer-owning packages
 # again in full, with bufpool's poison hook on), run the codec kernel,
 # wire framing, read path (hit, miss, range), decoded-block cache (hit,
-# miss) and exact access planner benchmarks once, diff two quick fig4b
+# miss), exact access planner and disk store put/delete (fresh, churn)
+# benchmarks once, diff two quick fig4b
 # simulator runs (identical apart from the elapsed-time line), then
 # smoke-run the fault-tolerance
 # example end to end (degraded reads, repair, recovery), the scrubbing
@@ -30,7 +31,7 @@ go build ./...
 go run ./cmd/ecstore-lint ./...
 go test -race -short ./...
 go test -race ./internal/bufpool ./internal/cache ./internal/core ./internal/rpc ./internal/storage
-go test -run 'TestNone' -bench 'Codec|WireFrame|ReadPath|ExactPlan|Cache' -benchtime 1x -benchmem ./internal/erasure ./internal/wire ./internal/gf256 ./internal/core ./internal/placement ./internal/cache
+go test -run 'TestNone' -bench 'Codec|WireFrame|ReadPath|ExactPlan|Cache|DiskStore' -benchtime 1x -benchmem ./internal/erasure ./internal/wire ./internal/gf256 ./internal/core ./internal/placement ./internal/cache ./internal/storage
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 go build -o "$tmp/ecbench" ./cmd/ecbench
